@@ -9,14 +9,13 @@ from .asymptotic import (F_EC_TABLE, AsymptoticResult, QberMeasurement, asymptot
 from .entropy import binary_entropy
 from .finitekey import (FiniteKeyResult, SecurityParams, SessionCounts, chernoff_upper,
                         expected_counts, finite_key_length, gamma_u, inverse_binomial_cdf,
-                        lambda_ec, nonmultiphoton_received_lower, phase_error_upper)
+                        lambda_ec, phase_error_upper)
 from .mc_oracle import (SampledSession, TrialConfig, chernoff_coverage, sample_session,
                         sampling_bound_coverage)
-from .models import (ChannelModel, DetectorModel, PhotonDistribution, ProtocolParams,
-                     SourceModel, click_error_probs, dead_time_corrected_click, error_prob,
-                     photon_distribution, raw_click_prob)
-from .optimize import (NoPositiveRateError, OptimizationConfig, OptimizedPoint, SweepRow,
-                       SweepSpec, max_tolerable_loss, optimize_point, run_sweep)
+from .models import (ChannelModel, DetectorModel, ProtocolParams, SourceModel, click_error_probs,
+                     dead_time_corrected_click)
+from .optimize import (NoPositiveRateError, OptimizationConfig, OptimizedPoint, SweepSpec,
+                       max_tolerable_loss, optimize_point, run_sweep)
 
 __version__ = "0.1.0"
 
@@ -29,14 +28,12 @@ __all__ = [
     "NoPositiveRateError",
     "OptimizationConfig",
     "OptimizedPoint",
-    "PhotonDistribution",
     "ProtocolParams",
     "QberMeasurement",
     "SampledSession",
     "SecurityParams",
     "SessionCounts",
     "SourceModel",
-    "SweepRow",
     "SweepSpec",
     "TrialConfig",
     "asymptotic_rate",
@@ -45,7 +42,6 @@ __all__ = [
     "chernoff_upper",
     "click_error_probs",
     "dead_time_corrected_click",
-    "error_prob",
     "expected_counts",
     "f_ec",
     "finite_key_length",
@@ -55,12 +51,9 @@ __all__ = [
     "inverse_binomial_cdf",
     "lambda_ec",
     "max_tolerable_loss",
-    "nonmultiphoton_received_lower",
     "optimize_point",
     "phase_error_upper",
-    "photon_distribution",
     "qber_model",
-    "raw_click_prob",
     "run_sweep",
     "sample_session",
     "sampling_bound_coverage",

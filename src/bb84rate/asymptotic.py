@@ -7,6 +7,7 @@ observed QBER at the code inefficiency f_EC.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -75,6 +76,8 @@ class QberMeasurement:
     qber: float
 
     def __post_init__(self) -> None:
+        if not (self.distance_km >= 0.0 and math.isfinite(self.distance_km)):
+            raise ValueError(f"distance_km must be finite and >= 0, got {self.distance_km}")
         if not 0.0 <= self.qber <= 0.5:
             raise ValueError(f"qber must be in [0, 0.5], got {self.qber}")
 
@@ -136,7 +139,8 @@ def fit_misalignment(data: Sequence[QberMeasurement], mean_photon_number: float,
     sum_bb = 0.0
     sum_by = 0.0
     for m in data:
-        t = 10.0 ** (-m.distance_km * loss_per_km_db / 10.0) * det_efficiency * att
+        t = ChannelModel.from_fiber(m.distance_km, loss_per_km_db).transmittance \
+            * det_efficiency * att
         signal = mean_photon_number * t
         denom = dark_count_prob + signal
         if denom == 0.0:
@@ -177,7 +181,7 @@ def asymptotic_rate(src: SourceModel, ch: ChannelModel, det: DetectorModel,
     e_x = e_z here.
     """
     p_c, p_e = click_error_probs(src, ch, det, protocol.att)
-    p_m_eff = src.multiphoton_prob * protocol.att**2
+    p_m_eff = src.attenuated_multiphoton_prob(protocol.att)
     if p_c <= 0.0:
         return AsymptoticResult(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     e = p_e / p_c

@@ -220,7 +220,7 @@ def _cmd_fit_qber(cfg: RunConfig, data_path: str, out: str) -> int:
     )
     points = []
     for m in data:
-        t = (10.0 ** (-m.distance_km * cfg.loss_per_km_db / 10.0)
+        t = (ChannelModel.from_fiber(m.distance_km, cfg.loss_per_km_db).transmittance
              * cfg.detector.det_efficiency * cfg.protocol.att)
         modeled = qber_model(cfg.source.mean_photon_number, t,
                              cfg.detector.dark_count_prob, p_mis)

@@ -24,7 +24,6 @@ __all__ = [
     "FiniteKeyResult",
     "expected_counts",
     "chernoff_upper",
-    "nonmultiphoton_received_lower",
     "gamma_u",
     "phase_error_upper",
     "inverse_binomial_cdf",
@@ -103,6 +102,25 @@ class SessionCounts:
         if self.m_z > self.n_rx_z * (1.0 + 1e-12):
             raise ValueError(f"m_z ({self.m_z}) cannot exceed n_rx_z ({self.n_rx_z})")
 
+    @classmethod
+    def from_probs(cls, n_sent: float, p_x: float, p_click: float, p_error: float,
+                   p_multi: float) -> "SessionCounts":
+        """Expected tallies of n_sent pulses from per-pulse probabilities.
+
+        Sifted detections, parameter-estimation errors and multiphoton
+        emissions each scale with the squared bias of their basis.
+        """
+        px2 = p_x**2
+        pz2 = (1.0 - p_x) ** 2
+        return cls(
+            n_sent=n_sent,
+            n_rx_x=n_sent * px2 * p_click,
+            n_rx_z=n_sent * pz2 * p_click,
+            m_z=n_sent * pz2 * p_error,
+            n_mp_star_x=n_sent * px2 * p_multi,
+            n_mp_star_z=n_sent * pz2 * p_multi,
+        )
+
 
 @dataclass(frozen=True)
 class FiniteKeyResult:
@@ -160,25 +178,14 @@ def expected_counts(src: SourceModel, ch: ChannelModel, det: DetectorModel,
                     protocol: ProtocolParams) -> SessionCounts:
     """Expected session tallies for the given models.
 
-    Sifted detections scale with the squared basis bias; errors use the
-    same per-pulse error probability in the parameter-estimation basis.
-    Expected multiphoton emissions carry an att^2 factor: the multiphoton
-    bound applies after pre-attenuation, which thins two-photon pulses
-    quadratically.
+    Errors use the same per-pulse error probability in the
+    parameter-estimation basis. The multiphoton bound applies after
+    pre-attenuation, which thins two-photon pulses quadratically.
     """
     n_sent = protocol.resolved_n_sent(src.rep_rate)
     p_c, p_e = click_error_probs(src, ch, det, protocol.att)
-    p_m_eff = src.multiphoton_prob * protocol.att**2
-    px2 = protocol.p_x**2
-    pz2 = protocol.p_z**2
-    return SessionCounts(
-        n_sent=n_sent,
-        n_rx_x=n_sent * px2 * p_c,
-        n_rx_z=n_sent * pz2 * p_c,
-        m_z=n_sent * pz2 * p_e,
-        n_mp_star_x=n_sent * px2 * p_m_eff,
-        n_mp_star_z=n_sent * pz2 * p_m_eff,
-    )
+    return SessionCounts.from_probs(n_sent, protocol.p_x, p_c, p_e,
+                                    src.attenuated_multiphoton_prob(protocol.att))
 
 
 def chernoff_upper(expected: float, eps: float) -> float:
@@ -198,19 +205,6 @@ def chernoff_upper(expected: float, eps: float) -> float:
         return beta
     delta = (beta + math.sqrt(8.0 * beta * expected + beta * beta)) / (2.0 * expected)
     return (1.0 + delta) * expected
-
-
-def nonmultiphoton_received_lower(counts: SessionCounts,
-                                  sec: SecurityParams) -> tuple[float, float]:
-    """Lower bounds on received non-multiphoton signals, per basis.
-
-    Worst case, every multiphoton emission reaches the receiver, so the
-    Chernoff-bounded multiphoton count is subtracted from the received
-    tally; clamped at zero.
-    """
-    lower_x = max(0.0, counts.n_rx_x - chernoff_upper(counts.n_mp_star_x, sec.eps_pe))
-    lower_z = max(0.0, counts.n_rx_z - chernoff_upper(counts.n_mp_star_z, sec.eps_pe))
-    return lower_x, lower_z
 
 
 def gamma_u(n: float, k: float, observed_rate: float, eps: float) -> float:
@@ -346,6 +340,8 @@ def finite_key_length(counts: SessionCounts, sec: SecurityParams,
     clamped at zero. Degenerate inputs (no detections, bound exhausted by
     multiphoton emissions) yield ell = 0 with the intermediates recorded.
     """
+    # worst case, every multiphoton emission reaches the receiver, so the
+    # Chernoff-bounded multiphoton count is subtracted from the received tally
     mp_upper_x = chernoff_upper(counts.n_mp_star_x, sec.eps_pe)
     mp_upper_z = chernoff_upper(counts.n_mp_star_z, sec.eps_pe)
     n_nmp_x = max(0.0, counts.n_rx_x - mp_upper_x)

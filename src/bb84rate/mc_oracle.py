@@ -36,8 +36,7 @@ import numpy as np
 
 from .finitekey import chernoff_upper, gamma_u
 from .models import (ChannelModel, DetectorModel, ProtocolParams, SourceModel,
-                     click_error_probs, dead_time_corrected_click, photon_distribution,
-                     raw_click_prob)
+                     _raw_click_error_probs, click_error_probs, dead_time_corrected_click)
 
 __all__ = [
     "TrialConfig",
@@ -111,17 +110,13 @@ def sample_session(src: SourceModel, ch: ChannelModel, det: DetectorModel,
                    protocol: ProtocolParams, trial: TrialConfig) -> SampledSession:
     """Sample one session pulse by pulse; deterministic for a given seed.
 
-    Dead time is applied as mean-field thinning with the analytic factor
-    c_dt, matching the model under test rather than a timeline simulation.
+    Photon numbers follow the source's two-photon distribution
+    (SourceModel.photon_probs). Dead time is applied as mean-field
+    thinning with the analytic factor c_dt, matching the model under test
+    rather than a timeline simulation.
     """
-    dist = photon_distribution(src)
-    probs = dict((n, p) for n, p in dist.probs)
-    if any(n > 2 for n in probs):
-        raise ValueError("sampler supports photon numbers up to 2")
-    p1 = probs.get(1, 0.0)
-    p2 = probs.get(2, 0.0)
-
-    f = raw_click_prob(dist, ch, det, protocol.att)
+    _, p1, p2 = src.photon_probs
+    f, _ = _raw_click_error_probs(src, ch, det, protocol.att)
     p_c = dead_time_corrected_click(f, src.rep_rate, det.dead_time)
     c_dt = p_c / f if f > 0.0 else 1.0
     s_cd = ch.transmittance * det.det_efficiency

@@ -2,10 +2,10 @@
 
 Closed-form per-pulse click and error probabilities for a BB84 link driven
 by a sub-Poissonian single-photon source. The source is described by its
-mean photon number and second-order correlation g2(0); the photon-number
-distribution is truncated at two photons, which saturates the multiphoton
-bound g2*<n>^2/2 and is therefore the worst case consistent with the two
-measured moments.
+mean photon number and second-order correlation g2(0); its photon-number
+distribution, SourceModel.photon_probs, is truncated at two photons, which
+saturates the multiphoton bound g2*<n>^2/2 and is therefore the worst case
+consistent with the two measured moments.
 """
 from __future__ import annotations
 
@@ -14,18 +14,12 @@ from dataclasses import dataclass
 
 __all__ = [
     "SourceModel",
-    "PhotonDistribution",
     "ChannelModel",
     "DetectorModel",
     "ProtocolParams",
-    "photon_distribution",
-    "raw_click_prob",
     "dead_time_corrected_click",
-    "error_prob",
     "click_error_probs",
 ]
-
-_PROB_SUM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -50,8 +44,7 @@ class SourceModel:
             raise ValueError(f"g2 must be in [0, 1], got {self.g2}")
         if not self.rep_rate > 0.0:
             raise ValueError(f"rep_rate must be positive, got {self.rep_rate}")
-        p2 = self.g2 * self.mean_photon_number**2 / 2.0
-        if self.mean_photon_number - 2.0 * p2 < 0.0:
+        if self.photon_probs[1] < 0.0:
             raise ValueError("two-photon weight exceeds the mean photon number "
                              f"(<n>={self.mean_photon_number}, g2={self.g2})")
 
@@ -60,41 +53,25 @@ class SourceModel:
         """Upper bound on the per-pulse multiphoton emission probability."""
         return self.g2 * self.mean_photon_number**2 / 2.0
 
-
-@dataclass(frozen=True)
-class PhotonDistribution:
-    """Photon-number distribution with its multiphoton upper bound.
-
-    Attributes:
-        probs: tuple of (photon count, probability) pairs.
-        p_m: multiphoton probability bound; at least the total weight on
-            n >= 2 of any distribution consistent with the source moments.
-    """
-
-    probs: tuple[tuple[int, float], ...]
-    p_m: float
-
-    def __post_init__(self) -> None:
-        if not self.probs:
-            raise ValueError("probs must be non-empty")
-        total = 0.0
-        multi = 0.0
-        for n, p in self.probs:
-            if n < 0 or int(n) != n:
-                raise ValueError(f"photon count must be a nonnegative integer, got {n}")
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"probability out of [0, 1]: p_{n} = {p}")
-            total += p
-            if n >= 2:
-                multi += p
-        if abs(total - 1.0) > _PROB_SUM_TOL:
-            raise ValueError(f"probabilities must sum to 1, got {total!r}")
-        if multi > self.p_m + _PROB_SUM_TOL:
-            raise ValueError(f"weight on n>=2 ({multi!r}) exceeds p_m ({self.p_m!r})")
-
     @property
-    def mean(self) -> float:
-        return sum(n * p for n, p in self.probs)
+    def photon_probs(self) -> tuple[float, float, float]:
+        """Two-photon-truncated distribution (p0, p1, p2) matching <n> and g2(0).
+
+        p2 = g2*<n>^2/2, p1 = <n> - 2*p2, p0 = 1 - p1 - p2. p2 equals the
+        multiphoton bound: this truncation saturates it, so any other
+        distribution with the same moments has less multiphoton weight.
+        """
+        p2 = self.multiphoton_prob
+        p1 = self.mean_photon_number - 2.0 * p2
+        return 1.0 - p1 - p2, p1, p2
+
+    def attenuated_multiphoton_prob(self, att: float) -> float:
+        """Multiphoton bound after pre-attenuation by att.
+
+        Pre-attenuation thins two-photon pulses quadratically but the
+        signal only linearly, so the bound scales with att^2.
+        """
+        return self.multiphoton_prob * att**2
 
 
 @dataclass(frozen=True)
@@ -199,41 +176,6 @@ class ProtocolParams:
         raise ValueError("neither n_sent nor acquisition_time_s was set")
 
 
-def photon_distribution(src: SourceModel) -> PhotonDistribution:
-    """Two-photon-truncated distribution matching <n> and g2(0).
-
-    p2 = g2*<n>^2/2, p1 = <n> - 2*p2, p0 = 1 - p1 - p2. The returned p_m
-    equals p2: this truncation saturates the multiphoton bound, so any
-    other distribution with the same moments has less multiphoton weight.
-    """
-    p2 = src.g2 * src.mean_photon_number**2 / 2.0
-    p1 = src.mean_photon_number - 2.0 * p2
-    p0 = 1.0 - p1 - p2
-    return PhotonDistribution(probs=((0, p0), (1, p1), (2, p2)), p_m=p2)
-
-
-def _click_term(n: int, dark: float, surv: float) -> float:
-    """P(click | n photons) = 1 - (1 - dark) * (1 - surv)^n.
-
-    Evaluated as -expm1(log1p(-dark) + n*log1p(-surv)) so that tiny dark
-    and survival probabilities do not lose precision to cancellation.
-    """
-    if n == 0:
-        return dark
-    if surv >= 1.0:
-        return 1.0
-    return -math.expm1(math.log1p(-dark) + n * math.log1p(-surv))
-
-
-def raw_click_prob(dist: PhotonDistribution, ch: ChannelModel, det: DetectorModel,
-                   att: float = 1.0) -> float:
-    """Per-pulse click probability before the dead-time correction."""
-    if not 0.0 < att <= 1.0:
-        raise ValueError(f"att must be in (0, 1], got {att}")
-    surv = ch.transmittance * det.det_efficiency * att
-    return sum(p * _click_term(n, det.dark_count_prob, surv) for n, p in dist.probs)
-
-
 def dead_time_corrected_click(f: float, rep_rate: float, dead_time: float) -> float:
     """Self-consistent click probability under a detector dead time.
 
@@ -250,41 +192,42 @@ def dead_time_corrected_click(f: float, rep_rate: float, dead_time: float) -> fl
     return 2.0 * f / (1.0 + math.sqrt(1.0 + 4.0 * rt * f))
 
 
-def error_prob(dist: PhotonDistribution, ch: ChannelModel, det: DetectorModel,
-               att: float = 1.0, rep_rate: float = 0.0) -> float:
-    """Per-pulse error probability in a basis, dead-time corrected.
+def _raw_click_error_probs(src: SourceModel, ch: ChannelModel, det: DetectorModel,
+                           att: float) -> tuple[float, float]:
+    """Per-pulse (click, error) probabilities before the dead-time correction.
 
-    Clicks on vacuum pulses are dark counts and land in the wrong detector
-    with probability 1/2; clicks on pulses carrying photons are wrong with
-    the misalignment probability. The same multiplicative dead-time factor
-    as in the click probability is applied.
-
-    rep_rate is needed to evaluate the dead-time factor; pass 0 (or use a
-    detector with dead_time=0) to skip the correction.
+    P(click | n photons) = 1 - (1 - dark) * (1 - surv)^n, evaluated as
+    -expm1(log1p(-dark) + n*log1p(-surv)) so that tiny dark and survival
+    probabilities do not lose precision to cancellation. Clicks on vacuum
+    pulses are dark counts and land in the wrong detector with probability
+    1/2; clicks on pulses carrying photons are wrong with the misalignment
+    probability.
     """
     if not 0.0 < att <= 1.0:
         raise ValueError(f"att must be in (0, 1], got {att}")
+    p0, p1, p2 = src.photon_probs
+    dark = det.dark_count_prob
     surv = ch.transmittance * det.det_efficiency * att
-    raw_err = 0.0
-    f = 0.0
-    for n, p in dist.probs:
-        term = _click_term(n, det.dark_count_prob, surv)
-        f += p * term
-        if n == 0:
-            raw_err += p * det.dark_count_prob / 2.0
-        else:
-            raw_err += p * term * det.misalignment
-    if f == 0.0:
-        return 0.0
-    p_c = dead_time_corrected_click(f, rep_rate, det.dead_time)
-    return (p_c / f) * raw_err
+    if surv >= 1.0:
+        click1 = click2 = 1.0
+    else:
+        log_dark = math.log1p(-dark)
+        log_surv = math.log1p(-surv)
+        click1 = -math.expm1(log_dark + log_surv)
+        click2 = -math.expm1(log_dark + 2 * log_surv)
+    f = p0 * dark + p1 * click1 + p2 * click2
+    raw_err = p0 * dark / 2.0 + p1 * click1 * det.misalignment + p2 * click2 * det.misalignment
+    return f, raw_err
 
 
 def click_error_probs(src: SourceModel, ch: ChannelModel, det: DetectorModel,
                       att: float = 1.0) -> tuple[float, float]:
-    """Dead-time-corrected (p_click, p_error) per pulse for one basis."""
-    dist = photon_distribution(src)
-    f = raw_click_prob(dist, ch, det, att)
+    """Dead-time-corrected (p_click, p_error) per pulse for one basis.
+
+    The dead time scales errors by the same factor p_click / f as clicks,
+    where f is the click probability before the correction.
+    """
+    f, raw_err = _raw_click_error_probs(src, ch, det, att)
     p_c = dead_time_corrected_click(f, src.rep_rate, det.dead_time)
-    p_e = error_prob(dist, ch, det, att, rep_rate=src.rep_rate)
+    p_e = 0.0 if f == 0.0 else (p_c / f) * raw_err
     return p_c, p_e

@@ -22,7 +22,6 @@ __all__ = [
     "OptimizationConfig",
     "SweepSpec",
     "OptimizedPoint",
-    "SweepRow",
     "optimize_point",
     "max_tolerable_loss",
     "run_sweep",
@@ -145,7 +144,6 @@ def _make_evaluator(
 
     if sec is None:
         sec = SecurityParams()
-    p_m = src.multiphoton_prob
 
     def evaluate(p_xs: list[float], atts: list[float]):
         out = []
@@ -156,19 +154,10 @@ def _make_evaluator(
                 continue
             e_x = p_e / p_c
             ns = n_sent if n_sent is not None else n_received / p_c
-            p_m_eff = p_m * att**2
+            p_m_eff = src.attenuated_multiphoton_prob(att)
             fec = f_ec(e_x, f_ec_table)
             for p_x in p_xs:
-                px2 = p_x**2
-                pz2 = (1.0 - p_x) ** 2
-                counts = SessionCounts(
-                    n_sent=ns,
-                    n_rx_x=ns * px2 * p_c,
-                    n_rx_z=ns * pz2 * p_c,
-                    m_z=ns * pz2 * p_e,
-                    n_mp_star_x=ns * px2 * p_m_eff,
-                    n_mp_star_z=ns * pz2 * p_m_eff,
-                )
+                counts = SessionCounts.from_probs(ns, p_x, p_c, p_e, p_m_eff)
                 res = finite_key_length(counts, sec, e_x, f_ec_value=fec)
                 out.append((res.rate, p_x, att, res))
         return out
@@ -258,14 +247,12 @@ def max_tolerable_loss(
     if cfg is None:
         cfg = OptimizationConfig()
 
+    fixed = {} if optimize_params else {"fixed_p_x": p_x, "fixed_att": att}
+
     def rate_at(loss_db: float) -> float:
-        ch = ChannelModel(loss_db=loss_db)
-        if optimize_params:
-            return optimize_point(src, ch, det, cfg, mode=mode, sec=sec, n_sent=n_sent,
-                                  n_received=n_received, f_ec_table=f_ec_table).rate_per_pulse
-        return optimize_point(src, ch, det, cfg, mode=mode, sec=sec, n_sent=n_sent,
-                              n_received=n_received, fixed_p_x=p_x, fixed_att=att,
-                              f_ec_table=f_ec_table).rate_per_pulse
+        return optimize_point(src, ChannelModel(loss_db=loss_db), det, cfg, mode=mode, sec=sec,
+                              n_sent=n_sent, n_received=n_received, f_ec_table=f_ec_table,
+                              **fixed).rate_per_pulse
 
     if rate_at(0.0) <= 0.0:
         raise NoPositiveRateError("key rate is zero at 0 dB channel loss")

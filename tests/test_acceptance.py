@@ -13,7 +13,7 @@ from bb84rate import (ChannelModel, DetectorModel, OptimizationConfig, ProtocolP
                       SourceModel, TrialConfig, asymptotic_rate, chernoff_coverage,
                       chernoff_upper, click_error_probs, expected_counts, binary_entropy,
                       finite_key_length, gamma_u, max_tolerable_loss, optimize_point,
-                      photon_distribution, qber_model, sample_session,
+                      qber_model, sample_session,
                       sampling_bound_coverage)
 from bb84rate.mc_oracle import run_oracle_suite
 
@@ -142,7 +142,7 @@ def test_criterion_6_qber_model(source, detector, boundaries):
 
 
 def test_criterion_7_multiphoton_bound(source):
-    p_m = photon_distribution(source).p_m
+    p_m = source.photon_probs[2]
     ok = abs(p_m - 3.63e-6) <= 1e-8
     report(7, "multiphoton bound", ok, f"p_m = {p_m:.6e} (target 3.63e-6 +-1e-8)")
 
@@ -192,12 +192,11 @@ def test_criterion_10_invariant_suite(source, detector, security):
             failures.append(name)
 
     # photon statistics
-    dist = photon_distribution(source)
-    probs = dict(dist.probs)
-    check("distribution normalized", abs(sum(probs.values()) - 1.0) < 1e-12)
-    check("distribution mean", abs(dist.mean - source.mean_photon_number) < 1e-15)
-    check("g2 recomputed", abs(2.0 * probs[2] / source.mean_photon_number**2 - source.g2) < 1e-12)
-    check("multiphoton saturation", probs[2] == dist.p_m)
+    p0, p1, p2 = source.photon_probs
+    check("distribution normalized", abs(p0 + p1 + p2 - 1.0) < 1e-12)
+    check("distribution mean", abs(p1 + 2.0 * p2 - source.mean_photon_number) < 1e-15)
+    check("g2 recomputed", abs(2.0 * p2 / source.mean_photon_number**2 - source.g2) < 1e-12)
+    check("multiphoton saturation", p2 == source.multiphoton_prob)
 
     # click/error model monotonicity and bands
     def p_click(loss=10.0, att=1.0, dead=27.5e-9, dark=1.47e-7):

@@ -183,6 +183,12 @@ class TestFitQberCommand:
         assert main(["fit-qber", "--data", data, "--out", "-"]) == 1
         assert ":3:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("distance", ["-5", "-200", "nan"])
+    def test_bad_distance_is_config_error(self, tmp_path, capsys, distance):
+        data = write(tmp_path / "bad.csv", f"distance_km,qber\n0.0,0.004\n{distance},0.01\n")
+        assert main(["fit-qber", "--data", data, "--out", "-"]) == 1
+        assert ":3:" in capsys.readouterr().err
+
 
 class TestOracleCommand:
     def test_report_and_determinism(self, tmp_path):

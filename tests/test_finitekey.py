@@ -8,7 +8,7 @@ from scipy.stats import binom
 from bb84rate import (ChannelModel, ProtocolParams, SecurityParams, SessionCounts,
                       asymptotic_rate, chernoff_upper, click_error_probs, expected_counts,
                       finite_key_length, gamma_u, inverse_binomial_cdf, lambda_ec,
-                      nonmultiphoton_received_lower, phase_error_upper)
+                      phase_error_upper)
 
 # Frozen high-precision oracle values (mpmath, 40 digits).
 BETA_EPS_PE = 23.43131603804862122215793          # -ln(2e-10/3)
@@ -100,16 +100,21 @@ class TestExpectedCounts:
 
 
 class TestNonMultiphotonLower:
+    @staticmethod
+    def lower(counts, security):
+        res = finite_key_length(counts, security, e_x_for_ec=0.01)
+        return res.n_nmp_x, res.n_nmp_z
+
     def test_perfect_source(self, security):
         counts = SessionCounts(1e6, 1000.0, 900.0, 5.0, 0.0, 0.0)
-        lower_x, lower_z = nonmultiphoton_received_lower(counts, security)
+        lower_x, lower_z = self.lower(counts, security)
         # chernoff_upper(0, eps) = beta is still subtracted
         assert lower_x == pytest.approx(1000.0 - BETA_EPS_PE, rel=1e-12)
         assert lower_z == pytest.approx(900.0 - BETA_EPS_PE, rel=1e-12)
 
     def test_clamped_at_zero(self, security):
         counts = SessionCounts(1e6, 50.0, 50.0, 1.0, 1000.0, 1000.0)
-        lower_x, lower_z = nonmultiphoton_received_lower(counts, security)
+        lower_x, lower_z = self.lower(counts, security)
         assert lower_x == 0.0 and lower_z == 0.0
 
     def test_positive_at_long_range(self, source, detector, security):
@@ -117,7 +122,7 @@ class TestNonMultiphotonLower:
         ch = ChannelModel.from_fiber(175.0, 0.1904)
         counts = expected_counts(source, ch, detector,
                                  ProtocolParams(p_x=0.5, acquisition_time_s=3600.0))
-        lower_x, lower_z = nonmultiphoton_received_lower(counts, security)
+        lower_x, lower_z = self.lower(counts, security)
         assert lower_x > 0.0 and lower_z > 0.0
 
 

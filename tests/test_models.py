@@ -1,10 +1,11 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bb84rate import (ChannelModel, DetectorModel, PhotonDistribution, ProtocolParams,
-                      SourceModel, click_error_probs, dead_time_corrected_click, error_prob,
-                      photon_distribution, raw_click_prob)
+from bb84rate import (ChannelModel, DetectorModel, ProtocolParams, SourceModel,
+                      click_error_probs, dead_time_corrected_click)
 
 # High-precision oracle values (mpmath, 40 digits): the raw click sum and
 # dead-time corrected click probability at 0 dB for the baseline system.
@@ -13,32 +14,33 @@ PC_BASELINE_0DB = 0.0089130261347373017058415
 PE_BASELINE_0DB = 2.680837087790518637165809e-05
 
 
-def baseline_dist():
-    return photon_distribution(SourceModel(0.0142, 0.036, 160.7e6))
+def baseline_source():
+    return SourceModel(0.0142, 0.036, 160.7e6)
 
 
 class TestSourceModel:
     def test_multiphoton_bound_baseline(self):
         # quoted estimate: 3.63e-6, +-1 in the last digit
-        dist = baseline_dist()
-        assert abs(dist.p_m - 3.63e-6) <= 1e-8
-        assert dist.p_m == pytest.approx(0.036 * 0.0142**2 / 2, rel=1e-15)
+        src = baseline_source()
+        p_m = src.multiphoton_prob
+        assert abs(p_m - 3.63e-6) <= 1e-8
+        assert p_m == pytest.approx(0.036 * 0.0142**2 / 2, rel=1e-15)
+        assert src.photon_probs[2] == p_m
 
     def test_zero_g2(self):
-        dist = photon_distribution(SourceModel(0.0142, 0.0, 1e6))
-        probs = dict(dist.probs)
-        assert probs[2] == 0.0
-        assert probs[1] == pytest.approx(0.0142, abs=1e-18)
-        assert probs[0] == pytest.approx(0.9858, abs=1e-12)
-        assert dist.p_m == 0.0
+        src = SourceModel(0.0142, 0.0, 1e6)
+        p0, p1, p2 = src.photon_probs
+        assert p2 == 0.0
+        assert p1 == pytest.approx(0.0142, abs=1e-18)
+        assert p0 == pytest.approx(0.9858, abs=1e-12)
+        assert src.multiphoton_prob == 0.0
 
     def test_direct_arithmetic(self):
         # independently: p2 = 0.1*0.25/2 = 0.0125, p1 = 0.5-0.025, p0 = rest
-        dist = photon_distribution(SourceModel(0.5, 0.1, 1e6))
-        probs = dict(dist.probs)
-        assert probs[2] == pytest.approx(0.0125, abs=1e-15)
-        assert probs[1] == pytest.approx(0.475, abs=1e-15)
-        assert probs[0] == pytest.approx(0.5125, abs=1e-15)
+        p0, p1, p2 = SourceModel(0.5, 0.1, 1e6).photon_probs
+        assert p2 == pytest.approx(0.0125, abs=1e-15)
+        assert p1 == pytest.approx(0.475, abs=1e-15)
+        assert p0 == pytest.approx(0.5125, abs=1e-15)
 
     def test_field_validation(self):
         with pytest.raises(ValueError):
@@ -51,30 +53,16 @@ class TestSourceModel:
     @given(st.floats(min_value=0.0, max_value=0.999),
            st.floats(min_value=0.0, max_value=1.0))
     def test_distribution_invariants(self, nbar, g2):
-        dist = photon_distribution(SourceModel(nbar, g2, 1e6))
-        probs = dict(dist.probs)
-        assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
-        assert dist.mean == pytest.approx(nbar, abs=1e-15)
+        src = SourceModel(nbar, g2, 1e6)
+        p0, p1, p2 = src.photon_probs
+        assert p0 + p1 + p2 == pytest.approx(1.0, abs=1e-12)
+        assert p1 + 2.0 * p2 == pytest.approx(nbar, abs=1e-15)
         # g2 recomputed from the distribution: sum n(n-1) p_n / <n>^2
         if nbar > 1e-6:
-            g2_back = 2.0 * probs[2] / nbar**2
+            g2_back = 2.0 * p2 / nbar**2
             assert g2_back == pytest.approx(g2, abs=1e-12)
         # truncated distribution saturates the multiphoton bound exactly
-        assert probs[2] == dist.p_m
-
-
-class TestPhotonDistribution:
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
-            PhotonDistribution(probs=((0, 0.5), (1, 0.4)), p_m=0.0)
-
-    def test_rejects_multiphoton_exceeding_bound(self):
-        with pytest.raises(ValueError):
-            PhotonDistribution(probs=((0, 0.9), (2, 0.1)), p_m=0.05)
-
-    def test_rejects_bad_probability(self):
-        with pytest.raises(ValueError):
-            PhotonDistribution(probs=((0, 1.2), (1, -0.2)), p_m=0.0)
+        assert p2 == src.multiphoton_prob
 
 
 class TestChannel:
@@ -107,20 +95,22 @@ class TestProtocolParams:
 
 
 class TestRawClickProb:
+    # with no dead time, the click probability is the raw click sum
     def test_vacuum_no_dark(self):
-        dist = PhotonDistribution(probs=((0, 1.0),), p_m=0.0)
         det = DetectorModel(det_efficiency=1.0, dark_count_prob=0.0)
-        assert raw_click_prob(dist, ChannelModel(0.0), det) == 0.0
+        p_c, _ = click_error_probs(SourceModel(0.0, 0.0, 1e6), ChannelModel(0.0), det)
+        assert p_c == 0.0
 
     def test_every_nonvacuum_pulse_clicks(self):
-        dist = baseline_dist()
+        src = baseline_source()
         det = DetectorModel(det_efficiency=1.0, dark_count_prob=0.0)
-        f = raw_click_prob(dist, ChannelModel(0.0), det, att=1.0)
-        p0 = dict(dist.probs)[0]
+        f, _ = click_error_probs(src, ChannelModel(0.0), det, att=1.0)
+        p0 = src.photon_probs[0]
         assert f == pytest.approx(1.0 - p0, rel=1e-15)
 
     def test_baseline_against_high_precision_oracle(self, detector):
-        f = raw_click_prob(baseline_dist(), ChannelModel(0.0), detector)
+        f, _ = click_error_probs(baseline_source(), ChannelModel(0.0),
+                                 replace(detector, dead_time=0.0))
         assert f == pytest.approx(F_BASELINE_0DB, rel=1e-14)
 
 
@@ -153,9 +143,9 @@ class TestDeadTime:
 
 class TestErrorProb:
     def test_no_error_sources(self):
-        dist = baseline_dist()
         det = DetectorModel(det_efficiency=0.6525, dark_count_prob=0.0, misalignment=0.0)
-        assert error_prob(dist, ChannelModel(10.0), det) == 0.0
+        _, p_e = click_error_probs(baseline_source(), ChannelModel(10.0), det)
+        assert p_e == 0.0
 
     def test_dark_count_limit_is_half(self):
         # signal -> 0 with darks present: half the clicks are errors
