@@ -14,7 +14,7 @@ from .mc_oracle import (SampledSession, TrialConfig, chernoff_coverage, sample_s
                         sampling_bound_coverage)
 from .models import (ChannelModel, DetectorModel, ProtocolParams, SourceModel, click_error_probs,
                      dead_time_corrected_click)
-from .optimize import (NoPositiveRateError, OptimizationConfig, OptimizedPoint, SweepSpec,
+from .optimize import (NoPositiveRateError, OptimizationConfig, OptimizedPoint,
                        max_tolerable_loss, optimize_point, run_sweep)
 
 __version__ = "0.1.0"
@@ -34,7 +34,6 @@ __all__ = [
     "SecurityParams",
     "SessionCounts",
     "SourceModel",
-    "SweepSpec",
     "TrialConfig",
     "asymptotic_rate",
     "binary_entropy",

@@ -27,8 +27,8 @@ __all__ = [
 
 # Error-correction inefficiency vs QBER: piecewise-linear anchor nodes.
 # Practical one-way codes run at 1.16 for the low-QBER regime relevant
-# here; the factor degrades as the error rate grows. Override per call if
-# a different code family is assumed.
+# here; the factor degrades as the error rate grows. Every rate uses this
+# table; f_ec's table argument evaluates another code family on its own.
 F_EC_TABLE: tuple[tuple[float, float], ...] = (
     (0.00, 1.16),
     (0.05, 1.16),
@@ -56,16 +56,6 @@ class AsymptoticResult:
     e_x: float
     e_z: float
     p_click: float
-
-    def to_dict(self) -> dict:
-        return {
-            "rate_per_pulse": self.rate_per_pulse,
-            "rate_bps": self.rate_bps,
-            "single_photon_fraction": self.single_photon_fraction,
-            "e_x": self.e_x,
-            "e_z": self.e_z,
-            "p_click": self.p_click,
-        }
 
 
 @dataclass(frozen=True)
@@ -170,8 +160,7 @@ def gllp_bracket(single_photon_fraction: float, e_x: float, e_z: float,
 
 
 def asymptotic_rate(src: SourceModel, ch: ChannelModel, det: DetectorModel,
-                    protocol: ProtocolParams,
-                    f_ec_table: Sequence[tuple[float, float]] = F_EC_TABLE) -> AsymptoticResult:
+                    protocol: ProtocolParams) -> AsymptoticResult:
     """Asymptotic secure key rate at the given operating point.
 
     rate = p_sift * p_click * [A*(1 - H(e_x/A)) - f_EC(e_z)*H(e_z)],
@@ -188,7 +177,7 @@ def asymptotic_rate(src: SourceModel, ch: ChannelModel, det: DetectorModel,
     if p_c <= p_m_eff:
         return AsymptoticResult(0.0, 0.0, 0.0, e, e, p_c)
     a = (p_c - p_m_eff) / p_c
-    bracket = gllp_bracket(a, e, e, f_ec(e, f_ec_table))
+    bracket = gllp_bracket(a, e, e, f_ec(e))
     per_pulse = max(0.0, protocol.sift_ratio * p_c * bracket)
     return AsymptoticResult(
         rate_per_pulse=per_pulse,

@@ -23,8 +23,7 @@ from .asymptotic import QberMeasurement, fit_misalignment, qber_model
 from .config import ConfigError, RunConfig, load_config
 from .mc_oracle import TrialConfig, run_oracle_suite
 from .models import ChannelModel
-from .optimize import (NoPositiveRateError, SweepSpec, max_tolerable_loss, optimize_point,
-                       run_sweep)
+from .optimize import NoPositiveRateError, max_tolerable_loss, optimize_point, run_sweep
 
 __all__ = ["main", "read_result_csv"]
 
@@ -102,57 +101,59 @@ def read_result_csv(path: str) -> tuple[dict[str, str], list[str], list[list[str
 
 
 def _cmd_asymptotic(cfg: RunConfig, out: str, fmt: str) -> int:
-    spec = SweepSpec(axis="distance_km", values=tuple(cfg.asymptotic_distances_km),
-                     mode="asymptotic")
-    rows = run_sweep(spec, cfg.source, cfg.detector, cfg.optimizer,
-                     loss_per_km_db=cfg.loss_per_km_db, fixed_p_x=cfg.protocol.p_x)
+    def point_at(distance_km: float):
+        return optimize_point(cfg.source, ChannelModel.from_fiber(distance_km, cfg.loss_per_km_db),
+                              cfg.detector, cfg.optimizer, mode="asymptotic",
+                              fixed_p_x=cfg.protocol.p_x)
+
+    distances = cfg.asymptotic_distances_km
     header = ["distance_km", "loss_db", "rate_bps", "single_photon_fraction",
               "qber", "p_click", "att", "status"]
     table = []
-    for row in rows:
-        res = row.result
+    for distance, (point, status) in zip(distances, run_sweep(distances, point_at)):
+        res = point.result
         table.append([
-            row.axis_value,
-            row.axis_value * cfg.loss_per_km_db,
-            row.rate_bps,
+            distance,
+            distance * cfg.loss_per_km_db,
+            point.rate_bps,
             res.single_photon_fraction if res else math.nan,
             res.e_z if res else math.nan,
             res.p_click if res else math.nan,
-            row.att,
-            row.status,
+            point.att,
+            status,
         ])
     _emit_table(out, fmt, cfg.resolved, header, table)
     return 0
 
 
+# FiniteKeyResult.to_dict keys emitted by `finite`, in column order. ell
+# comes first: a point without a result has key length 0 and NaN elsewhere.
+_FINITE_COLUMNS = ("ell", "n_sent", "n_rx_x", "n_rx_z", "m_z", "n_mp_upper_x", "n_mp_upper_z",
+                   "n_nmp_x", "n_nmp_z", "phi_x", "phi_x_upper", "lambda_ec", "e_x")
+_NO_RESULT = (0,) + (math.nan,) * (len(_FINITE_COLUMNS) - 1)
+
+
 def _cmd_finite(cfg: RunConfig, out: str, fmt: str) -> int:
-    if cfg.finite_block_sizes is not None:
-        axis = "block_size_received"
-        values = cfg.finite_block_sizes
+    channel = cfg.fixed_channel()
+    by_block = cfg.finite_block_sizes is not None
+    if by_block:
+        axis, values = "block_size_received", cfg.finite_block_sizes
     else:
-        axis = "acquisition_time_s"
-        values = cfg.finite_acquisition_times_s
-    spec = SweepSpec(axis=axis, values=tuple(values), mode="finite")
-    rows = run_sweep(spec, cfg.source, cfg.detector, cfg.optimizer, sec=cfg.security,
-                     channel=cfg.fixed_channel(), loss_per_km_db=cfg.loss_per_km_db)
-    header = [axis, "loss_db", "p_x", "att", "rate_bps", "rate_per_pulse", "ell",
-              "n_sent", "n_rx_x", "n_rx_z", "m_z", "n_mp_upper_x", "n_mp_upper_z",
-              "n_nmp_x", "n_nmp_z", "phi_x", "phi_x_upper", "lambda_ec", "e_x", "status"]
+        axis, values = "acquisition_time_s", cfg.finite_acquisition_times_s
+
+    def point_at(value: float):
+        size = dict(n_received=value) if by_block else dict(n_sent=cfg.source.rep_rate * value)
+        return optimize_point(cfg.source, channel, cfg.detector, cfg.optimizer,
+                              mode="finite", sec=cfg.security, **size)
+
+    header = [axis, "loss_db", "p_x", "att", "rate_bps", "rate_per_pulse",
+              *_FINITE_COLUMNS, "status"]
     table = []
-    loss_db = cfg.fixed_channel().loss_db
-    for row in rows:
-        res = row.result
-        d = res.to_dict() if res else {}
-        table.append([
-            row.axis_value, loss_db, row.p_x, row.att, row.rate_bps, row.rate_per_pulse,
-            d.get("ell", 0), d.get("n_sent", math.nan),
-            d.get("n_rx_x", math.nan), d.get("n_rx_z", math.nan), d.get("m_z", math.nan),
-            d.get("n_mp_upper_x", math.nan), d.get("n_mp_upper_z", math.nan),
-            d.get("n_nmp_x", math.nan), d.get("n_nmp_z", math.nan),
-            d.get("phi_x", math.nan), d.get("phi_x_upper", math.nan),
-            d.get("lambda_ec", math.nan), d.get("e_x", math.nan),
-            row.status,
-        ])
+    for value, (point, status) in zip(values, run_sweep(values, point_at)):
+        d = point.result.to_dict() if point.result else {}
+        cells = [d[c] for c in _FINITE_COLUMNS] if d else _NO_RESULT
+        table.append([value, channel.loss_db, point.p_x, point.att, point.rate_bps,
+                      point.rate_per_pulse, *cells, status])
     _emit_table(out, fmt, cfg.resolved, header, table)
     return 0
 

@@ -11,6 +11,7 @@ import configparser
 from dataclasses import dataclass, field
 
 from .finitekey import SecurityParams
+from .mc_oracle import TrialConfig, check_trials
 from .models import ChannelModel, DetectorModel, ProtocolParams, SourceModel
 from .optimize import OptimizationConfig
 
@@ -190,7 +191,14 @@ def load_config(path: str | None = None) -> RunConfig:
             and raw["finite"].get("block_sizes_received") is not None):
         raise ConfigError("[finite] acquisition_times_s and block_sizes_received "
                           "are mutually exclusive")
+    # curve commands emit one row per value of these keys, in order
+    for section, key in (("asymptotic", "distances_km"), ("finite", "acquisition_times_s"),
+                         ("finite", "block_sizes_received")):
+        values = resolved[section][key]
+        if values is not None and any(b <= a for a, b in zip(values, values[1:])):
+            raise ConfigError(f"[{section}] {key} must be strictly increasing")
 
+    oracle = resolved["oracle"]
     try:
         source = SourceModel(
             mean_photon_number=get("source", "mean_photon_number"),
@@ -218,6 +226,11 @@ def load_config(path: str | None = None) -> RunConfig:
             loss_bisection_tol_db=get("optimizer", "loss_bisection_tol_db"),
             loss_cap_db=get("optimizer", "loss_cap_db"),
         )
+        TrialConfig(oracle["seed"], oracle["n_pulses"], oracle["eps_test"])
+        for loss_db in oracle["losses_db"]:
+            ChannelModel(loss_db=loss_db)
+        for key in ("chernoff_trials", "sampling_trials"):
+            check_trials(key, oracle[key])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -225,8 +238,6 @@ def load_config(path: str | None = None) -> RunConfig:
     finite_blocks = get("finite", "block_sizes_received")
     if raw["finite"].get("block_sizes_received") is not None:
         finite_times = None
-
-    oracle = {key: get("oracle", key) for key in _SCHEMA["oracle"]}
 
     return RunConfig(
         source=source,

@@ -49,6 +49,14 @@ __all__ = [
 
 _CHUNK = 1 << 20
 
+_MIN_TRIALS = {"chernoff_trials": 1000, "sampling_trials": 1}
+
+
+def check_trials(name: str, trials: int) -> None:
+    """Raise ValueError unless the named coverage experiment can run `trials` trials."""
+    if trials < _MIN_TRIALS[name]:
+        raise ValueError(f"{name} must be >= {_MIN_TRIALS[name]}, got {trials}")
+
 
 @dataclass(frozen=True)
 class TrialConfig:
@@ -59,6 +67,8 @@ class TrialConfig:
     eps_test: float = 1e-2
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n_pulses < 1:
             raise ValueError(f"n_pulses must be >= 1, got {self.n_pulses}")
         if not 0.0 < self.eps_test < 1.0:
@@ -91,19 +101,6 @@ class SampledSession:
             raise ValueError("error tallies exceed sifted detections")
         if self.n_rx_x + self.n_rx_z > self.n_clicks:
             raise ValueError("sifted detections exceed total clicks")
-
-    def to_dict(self) -> dict:
-        return {
-            "n_pulses": self.n_pulses,
-            "n_clicks": self.n_clicks,
-            "n_errors": self.n_errors,
-            "n_rx_x": self.n_rx_x,
-            "n_rx_z": self.n_rx_z,
-            "m_x": self.m_x,
-            "m_z": self.m_z,
-            "n_mp_x": self.n_mp_x,
-            "n_mp_z": self.n_mp_z,
-        }
 
 
 def sample_session(src: SourceModel, ch: ChannelModel, det: DetectorModel,
@@ -161,8 +158,7 @@ def chernoff_coverage(x_star: float, eps_test: float, trials: int, *,
     (3*sqrt(eps_test/trials) slack). bound_scale deliberately rescales the
     bound and exists for harness self-tests only.
     """
-    if trials < 1000:
-        raise ValueError(f"trials must be >= 1000, got {trials}")
+    check_trials("chernoff_trials", trials)
     if x_star < 0.0 or x_star > population:
         raise ValueError(f"x_star must be in [0, population], got {x_star}")
     bound = chernoff_upper(x_star, eps_test) * bound_scale
@@ -188,8 +184,7 @@ def sampling_bound_coverage(n: int, k: int, population_errors: int, eps_test: fl
         raise ValueError(f"n and k must be >= 1, got n={n}, k={k}")
     if not 0 <= population_errors <= n + k:
         raise ValueError(f"population_errors must be in [0, n+k], got {population_errors}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    check_trials("sampling_trials", trials)
     rng = np.random.default_rng([seed, 1])
     observed = rng.hypergeometric(population_errors, n + k - population_errors, k, size=trials)
     chi = np.empty(trials)

@@ -6,29 +6,29 @@ shrinking-grid refinement around the incumbent. Grid points are
 independent, and the incumbent is selected by a lexicographic maximum, so
 results do not depend on evaluation order and evaluations may run in
 parallel without changing the output.
+
+A sweep is one optimize_point call per value: the caller builds each
+operating point, and run_sweep turns a point the models reject into a
+zero-rate error row instead of aborting the sweep.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable
 
-from .asymptotic import F_EC_TABLE, AsymptoticResult, asymptotic_rate, f_ec
+from .asymptotic import AsymptoticResult, asymptotic_rate, f_ec
 from .finitekey import FiniteKeyResult, SecurityParams, SessionCounts, finite_key_length
 from .models import ChannelModel, DetectorModel, ProtocolParams, SourceModel, click_error_probs
 
 __all__ = [
     "NoPositiveRateError",
     "OptimizationConfig",
-    "SweepSpec",
     "OptimizedPoint",
     "optimize_point",
     "max_tolerable_loss",
     "run_sweep",
 ]
-
-SWEEP_AXES = ("distance_km", "loss_db", "block_size_received", "acquisition_time_s")
-
 
 class NoPositiveRateError(RuntimeError):
     """No positive key rate even at zero channel loss."""
@@ -74,23 +74,6 @@ class OptimizationConfig:
 
 
 @dataclass(frozen=True)
-class SweepSpec:
-    """One sweep axis with its values and rate mode."""
-
-    axis: str
-    values: tuple[float, ...]
-    mode: str = "finite"
-
-    def __post_init__(self) -> None:
-        if self.axis not in SWEEP_AXES:
-            raise ValueError(f"axis must be one of {SWEEP_AXES}, got {self.axis!r}")
-        if self.mode not in ("asymptotic", "finite"):
-            raise ValueError(f"mode must be 'asymptotic' or 'finite', got {self.mode!r}")
-        if any(b <= a for a, b in zip(self.values, self.values[1:])):
-            raise ValueError("sweep values must be strictly increasing")
-
-
-@dataclass(frozen=True)
 class OptimizedPoint:
     """Optimizer output at one operating point."""
 
@@ -98,18 +81,6 @@ class OptimizedPoint:
     att: float
     rate_per_pulse: float
     rate_bps: float
-    result: AsymptoticResult | FiniteKeyResult | None
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    axis: str
-    axis_value: float
-    p_x: float
-    att: float
-    rate_per_pulse: float
-    rate_bps: float
-    status: str
     result: AsymptoticResult | FiniteKeyResult | None
 
 
@@ -123,7 +94,6 @@ def _linspace(lo: float, hi: float, k: int) -> list[float]:
 def _make_evaluator(
     src: SourceModel, ch: ChannelModel, det: DetectorModel, mode: str,
     sec: SecurityParams | None, n_sent: float | None, n_received: float | None,
-    f_ec_table: Sequence[tuple[float, float]],
 ) -> Callable[[list[float], list[float]], list[tuple[float, float, float, object]]]:
     """Build a batch evaluator returning (rate, p_x, att, result) tuples.
 
@@ -135,9 +105,7 @@ def _make_evaluator(
             out = []
             for att in atts:
                 for p_x in p_xs:
-                    res = asymptotic_rate(src, ch, det,
-                                          ProtocolParams(p_x=p_x, att=att),
-                                          f_ec_table=f_ec_table)
+                    res = asymptotic_rate(src, ch, det, ProtocolParams(p_x=p_x, att=att))
                     out.append((res.rate_per_pulse, p_x, att, res))
             return out
         return evaluate
@@ -155,7 +123,7 @@ def _make_evaluator(
             e_x = p_e / p_c
             ns = n_sent if n_sent is not None else n_received / p_c
             p_m_eff = src.attenuated_multiphoton_prob(att)
-            fec = f_ec(e_x, f_ec_table)
+            fec = f_ec(e_x)
             for p_x in p_xs:
                 counts = SessionCounts.from_probs(ns, p_x, p_c, p_e, p_m_eff)
                 res = finite_key_length(counts, sec, e_x, f_ec_value=fec)
@@ -171,7 +139,6 @@ def optimize_point(
     mode: str = "finite", sec: SecurityParams | None = None,
     n_sent: float | None = None, n_received: float | None = None,
     fixed_p_x: float | None = None, fixed_att: float | None = None,
-    f_ec_table: Sequence[tuple[float, float]] = F_EC_TABLE,
 ) -> OptimizedPoint:
     """Maximize the key rate over (p_x, att) at one operating point.
 
@@ -193,7 +160,7 @@ def optimize_point(
     elif n_sent is not None or n_received is not None:
         raise ValueError("asymptotic mode takes neither n_sent nor n_received")
 
-    evaluate = _make_evaluator(src, ch, det, mode, sec, n_sent, n_received, f_ec_table)
+    evaluate = _make_evaluator(src, ch, det, mode, sec, n_sent, n_received)
 
     px_lo0, px_hi0 = cfg.p_x_range
     at_lo0, at_hi0 = cfg.att_range
@@ -231,7 +198,6 @@ def max_tolerable_loss(
     mode: str = "finite", sec: SecurityParams | None = None,
     n_sent: float | None = None, n_received: float | None = None,
     optimize_params: bool = True, p_x: float = 0.5, att: float = 1.0,
-    f_ec_table: Sequence[tuple[float, float]] = F_EC_TABLE,
 ) -> float:
     """Channel loss (dB) at the zero/positive key-rate boundary.
 
@@ -251,8 +217,7 @@ def max_tolerable_loss(
 
     def rate_at(loss_db: float) -> float:
         return optimize_point(src, ChannelModel(loss_db=loss_db), det, cfg, mode=mode, sec=sec,
-                              n_sent=n_sent, n_received=n_received, f_ec_table=f_ec_table,
-                              **fixed).rate_per_pulse
+                              n_sent=n_sent, n_received=n_received, **fixed).rate_per_pulse
 
     if rate_at(0.0) <= 0.0:
         raise NoPositiveRateError("key rate is zero at 0 dB channel loss")
@@ -269,47 +234,19 @@ def max_tolerable_loss(
 
 
 def run_sweep(
-    spec: SweepSpec, src: SourceModel, det: DetectorModel,
-    cfg: OptimizationConfig | None = None, *,
-    sec: SecurityParams | None = None,
-    channel: ChannelModel | None = None,
-    n_sent: float | None = None,
-    loss_per_km_db: float = 0.1904,
-    fixed_p_x: float | None = None, fixed_att: float | None = None,
-    f_ec_table: Sequence[tuple[float, float]] = F_EC_TABLE,
-) -> list[SweepRow]:
-    """Optimize one point per axis value, in axis order.
+    values: Iterable[float], point_at: Callable[[float], OptimizedPoint],
+) -> list[tuple[OptimizedPoint, str]]:
+    """Optimize one point per sweep value, in order: (point, status) pairs.
 
-    distance_km and loss_db sweeps derive the channel per value (finite
-    mode then requires n_sent for the block size); block_size_received and
-    acquisition_time_s sweeps run against the fixed channel argument.
-    Per-point failures become zero-rate rows with the error recorded in
-    the status field.
+    point_at builds and optimizes the operating point of one value. A
+    value the models reject (ValueError) or whose arithmetic fails gives a
+    zero-rate point with NaN p_x/att, no result and an "error: ..."
+    status; every other point has status "ok".
     """
-    if spec.axis in ("block_size_received", "acquisition_time_s") and channel is None:
-        raise ValueError(f"a fixed channel is required for a {spec.axis} sweep")
-    if spec.axis in ("distance_km", "loss_db") and spec.mode == "finite" and n_sent is None:
-        raise ValueError(f"n_sent is required for a finite {spec.axis} sweep")
-
-    rows: list[SweepRow] = []
-    for value in spec.values:
+    rows: list[tuple[OptimizedPoint, str]] = []
+    for value in values:
         try:
-            ch = channel
-            kw: dict = {"n_sent": n_sent} if spec.mode == "finite" else {}
-            if spec.axis == "distance_km":
-                ch = ChannelModel.from_fiber(value, loss_per_km_db)
-            elif spec.axis == "loss_db":
-                ch = ChannelModel(loss_db=value)
-            elif spec.axis == "block_size_received":
-                kw = {"n_received": value}
-            elif spec.axis == "acquisition_time_s":
-                kw = {"n_sent": src.rep_rate * value}
-            point = optimize_point(src, ch, det, cfg, mode=spec.mode, sec=sec,
-                                   fixed_p_x=fixed_p_x, fixed_att=fixed_att,
-                                   f_ec_table=f_ec_table, **kw)
-            rows.append(SweepRow(spec.axis, value, point.p_x, point.att,
-                                 point.rate_per_pulse, point.rate_bps, "ok", point.result))
+            rows.append((point_at(value), "ok"))
         except (ValueError, ArithmeticError) as exc:
-            rows.append(SweepRow(spec.axis, value, math.nan, math.nan, 0.0, 0.0,
-                                 f"error: {exc}", None))
+            rows.append((OptimizedPoint(math.nan, math.nan, 0.0, 0.0, None), f"error: {exc}"))
     return rows

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -235,6 +236,26 @@ class TestConfigHandling:
     def test_mutually_exclusive_channel_keys(self, tmp_path):
         cfg = write(tmp_path / "run.ini", "[channel]\ndistance_km = 10\nloss_db = 5\n")
         assert main(["finite", "--config", cfg, "--out", "-"]) == 1
+
+    @pytest.mark.parametrize("command, section, key, values", [
+        ("asymptotic", "asymptotic", "distances_km", "10,5"),
+        ("finite", "finite", "acquisition_times_s", "60,1"),
+        ("finite", "finite", "block_sizes_received", "1e6,1e6"),
+    ])
+    def test_unordered_sweep_values_rejected(self, tmp_path, capsys, command, section, key,
+                                             values):
+        cfg = write(tmp_path / "run.ini", f"[{section}]\n{key} = {values}\n")
+        assert main([command, "--config", cfg, "--out", "-"]) == 1
+        assert f"[{section}] {key} must be strictly increasing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["n_pulses = 0", "eps_test = 2", "chernoff_trials = 10",
+                                      "sampling_trials = 0", "losses_db = -1", "seed = -1"])
+    def test_bad_oracle_value_rejected_before_sampling(self, tmp_path, capsys, line):
+        cfg = write(tmp_path / "run.ini", f"[oracle]\n{line}\n")
+        start = time.perf_counter()
+        assert main(["oracle", "--config", cfg, "--out", "-"]) == 1
+        assert time.perf_counter() - start < 0.1
+        assert "config error" in capsys.readouterr().err
 
     def test_round_trip_echo_contains_all_defaults(self, tmp_path):
         cfg = write(tmp_path / "run.ini", FAST_OPT + "[asymptotic]\ndistances_km = 0\n")

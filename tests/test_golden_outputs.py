@@ -1,0 +1,69 @@
+"""Byte-identity guard for the CLI outputs.
+
+Each case runs ``cli.main`` to stdout with a tiny optimizer and compares the
+SHA-256 of the output with a recorded digest. A refactor that claims
+byte-identical outputs must leave every digest unchanged; a change that
+moves a number must re-record the digests and say which numbers moved and
+why. The cases include one error row per curve command, so the failure
+path's bytes are pinned too.
+"""
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from bb84rate.cli import main
+
+TINY_OPT = """
+[optimizer]
+grid_resolution = 6
+refinement_rounds = 1
+loss_bisection_tol_db = 0.5
+"""
+
+# name -> (command, extra config, output format, SHA-256 of stdout)
+CASES = {
+    "asymptotic_csv": (
+        "asymptotic", "[asymptotic]\ndistances_km = -5,0,25,50,100,150,175,200\n", "csv",
+        "e0658bbc41858becd01d0c93e379637140c5e153be32ffcdf7ad57f9f3db097d",
+    ),
+    "asymptotic_json": (
+        "asymptotic", "[asymptotic]\ndistances_km = -5,0,25,50,100,150,175,200\n", "json",
+        "bbc3bb1ec915245d03deb9b62e22a0914f3a1935232eb8fc54d05475e0ded089",
+    ),
+    "finite_acquisition_time_csv": (
+        "finite", "[finite]\nacquisition_times_s = 1,60\n", "csv",
+        "a2b3090deafa0e35f0c9211e32a48db01e9581a7df97db890f33bc9bd006b701",
+    ),
+    "finite_block_size_csv": (
+        "finite", "[channel]\nloss_db = 10\n"
+                  "[finite]\nblock_sizes_received = -1,1e4,1e6,1e8,1e10\n", "csv",
+        "d9333edca9e6e11d44e4a6c5e23dcbf196cddd61592bd0750fbabc81bd26d113",
+    ),
+    "finite_block_size_json": (
+        "finite", "[channel]\nloss_db = 10\n"
+                  "[finite]\nblock_sizes_received = -1,1e4,1e6,1e8,1e10\n", "json",
+        "b16c499755e3087624aafcd5f4d476f5894f165ee7151c73e1661cb60d0f22a3",
+    ),
+    "maxloss_csv": (
+        "maxloss", "", "csv",
+        "cf32ffc3dcc2c0e789c80e2cf19ad8d5a40638325d85402c48b110dc7d9155bb",
+    ),
+}
+
+
+def run_case(tmp_path, command: str, extra: str, fmt: str) -> bytes:
+    cfg = tmp_path / f"{command}-{fmt}.ini"
+    cfg.write_text(TINY_OPT + extra, encoding="utf-8")
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main([command, "--config", str(cfg), "--out", "-", "--format", fmt])
+    assert code == 0
+    return stdout.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_digest_unchanged(tmp_path, name):
+    command, extra, fmt, digest = CASES[name]
+    assert hashlib.sha256(run_case(tmp_path, command, extra, fmt)).hexdigest() == digest

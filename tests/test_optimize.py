@@ -3,7 +3,7 @@ import math
 import pytest
 
 from bb84rate import (ChannelModel, DetectorModel, NoPositiveRateError, OptimizationConfig,
-                      ProtocolParams, SourceModel, SweepSpec, asymptotic_rate,
+                      ProtocolParams, SourceModel, asymptotic_rate,
                       finite_key_length, expected_counts, click_error_probs,
                       max_tolerable_loss, optimize_point, run_sweep)
 
@@ -76,6 +76,8 @@ class TestOptimizePoint:
         with pytest.raises(ValueError):
             optimize_point(source, ChannelModel(0.0), detector, fast_opt,
                            mode="asymptotic", n_sent=1.0)
+        with pytest.raises(ValueError):
+            optimize_point(source, ChannelModel(0.0), detector, fast_opt, mode="other")
 
     def test_internal_counts_match_expected_counts(self, source, detector, fast_opt):
         ch = ChannelModel(19.04)
@@ -142,42 +144,42 @@ class TestMaxTolerableLoss:
 
 
 class TestRunSweep:
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            SweepSpec(axis="frequency", values=(1.0, 2.0))
-        with pytest.raises(ValueError):
-            SweepSpec(axis="loss_db", values=(2.0, 1.0))
-        with pytest.raises(ValueError):
-            SweepSpec(axis="loss_db", values=(1.0, 2.0), mode="other")
-
     def test_distance_sweep_monotone(self, source, detector, fast_opt):
-        spec = SweepSpec(axis="distance_km", values=(0.0, 50.0, 100.0, 150.0, 175.0),
-                         mode="asymptotic")
-        rows = run_sweep(spec, source, detector, fast_opt, fixed_p_x=0.5)
-        rates = [r.rate_bps for r in rows]
+        def point_at(d):
+            return optimize_point(source, ChannelModel.from_fiber(d), detector, fast_opt,
+                                  mode="asymptotic", fixed_p_x=0.5)
+
+        rows = run_sweep((0.0, 50.0, 100.0, 150.0, 175.0), point_at)
+        rates = [point.rate_bps for point, _ in rows]
         assert all(a >= b for a, b in zip(rates, rates[1:]))
-        assert all(r.status == "ok" for r in rows)
+        assert all(status == "ok" for _, status in rows)
 
     def test_block_size_sweep_nondecreasing(self, source, detector, fast_opt):
-        spec = SweepSpec(axis="block_size_received", values=(1e5, 1e6, 1e7))
-        rows = run_sweep(spec, source, detector, fast_opt, channel=ChannelModel(0.0))
-        rates = [r.rate_per_pulse for r in rows]
+        def point_at(n):
+            return optimize_point(source, ChannelModel(0.0), detector, fast_opt,
+                                  mode="finite", n_received=n)
+
+        rows = run_sweep((1e5, 1e6, 1e7), point_at)
+        rates = [point.rate_per_pulse for point, _ in rows]
         assert all(b >= a for a, b in zip(rates, rates[1:]))
 
     def test_acquisition_time_sweep(self, source, detector, fast_opt):
-        spec = SweepSpec(axis="acquisition_time_s", values=(1.0, 10.0))
-        rows = run_sweep(spec, source, detector, fast_opt, channel=ChannelModel(19.04))
-        assert [r.axis_value for r in rows] == [1.0, 10.0]
-        assert rows[1].rate_per_pulse >= rows[0].rate_per_pulse
+        def point_at(t):
+            return optimize_point(source, ChannelModel(19.04), detector, fast_opt,
+                                  mode="finite", n_sent=source.rep_rate * t)
+
+        rows = run_sweep((1.0, 10.0), point_at)
+        assert [point.result.counts.n_sent for point, _ in rows] == [source.rep_rate * 1.0,
+                                                                      source.rep_rate * 10.0]
+        assert rows[1][0].rate_per_pulse >= rows[0][0].rate_per_pulse
 
     def test_per_point_errors_flagged(self, source, detector, fast_opt):
-        spec = SweepSpec(axis="distance_km", values=(-5.0, 10.0), mode="asymptotic")
-        rows = run_sweep(spec, source, detector, fast_opt)
-        assert rows[0].status.startswith("error:")
-        assert rows[0].rate_bps == 0.0 and math.isnan(rows[0].p_x)
-        assert rows[1].status == "ok"
+        def point_at(d):
+            return optimize_point(source, ChannelModel.from_fiber(d), detector, fast_opt,
+                                  mode="asymptotic")
 
-    def test_finite_distance_sweep_requires_block(self, source, detector, fast_opt):
-        spec = SweepSpec(axis="distance_km", values=(10.0,), mode="finite")
-        with pytest.raises(ValueError):
-            run_sweep(spec, source, detector, fast_opt)
+        rows = run_sweep((-5.0, 10.0), point_at)
+        point, status = rows[0]
+        assert status.startswith("error:")
+        assert point.rate_bps == 0.0 and math.isnan(point.p_x) and point.result is None
+        assert rows[1][1] == "ok"
