@@ -5,7 +5,7 @@ statistics, plus numerical optimization of the basis bias and source
 pre-attenuation over distance, block size and acquisition time.
 """
 from .asymptotic import (F_EC_TABLE, AsymptoticResult, QberMeasurement, asymptotic_rate,
-                         f_ec, fit_misalignment, gllp_bracket, qber_model)
+                         f_ec, fit_misalignment, gllp_bracket)
 from .entropy import binary_entropy
 from .finitekey import (FiniteKeyResult, SecurityParams, SessionCounts, chernoff_upper,
                         expected_counts, finite_key_length, gamma_u, inverse_binomial_cdf,
@@ -52,7 +52,6 @@ __all__ = [
     "max_tolerable_loss",
     "optimize_point",
     "phase_error_upper",
-    "qber_model",
     "run_sweep",
     "sample_session",
     "sampling_bound_coverage",

@@ -1,4 +1,4 @@
-"""Asymptotic (infinite-block) secure key rate and the QBER model.
+"""Asymptotic (infinite-block) secure key rate and the misalignment fit.
 
 The rate attributes key material only to the non-multiphoton fraction of
 received signals: with single-photon fraction A, phase errors on that
@@ -8,7 +8,7 @@ observed QBER at the code inefficiency f_EC.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .entropy import binary_entropy
@@ -19,7 +19,6 @@ __all__ = [
     "AsymptoticResult",
     "QberMeasurement",
     "f_ec",
-    "qber_model",
     "fit_misalignment",
     "gllp_bracket",
     "asymptotic_rate",
@@ -90,58 +89,45 @@ def f_ec(e: float, table: Sequence[tuple[float, float]] = F_EC_TABLE) -> float:
     raise AssertionError("unreachable: table not ordered")
 
 
-def qber_model(mean_photon_number: float, total_efficiency: float,
-               dark_count_prob: float, misalignment: float) -> float:
-    """QBER of a link with signal rate <n>*T against a dark-count floor.
-
-    e = (p_dc/2 + p_mis * <n> * T) / (p_dc + <n> * T)
-
-    Half the dark counts land in the wrong detector; the misalignment
-    fraction of the signal does. Tends to 1/2 in the dark-count-dominated
-    limit and to p_mis when the signal dominates.
-    """
-    if not 0.0 < total_efficiency <= 1.0:
-        raise ValueError(f"total_efficiency must be in (0, 1], got {total_efficiency}")
-    signal = mean_photon_number * total_efficiency
-    denom = dark_count_prob + signal
-    if denom == 0.0:
-        raise ValueError("dark_count_prob and <n>*T cannot both be zero")
-    return (dark_count_prob / 2.0 + misalignment * signal) / denom
-
-
-def fit_misalignment(data: Sequence[QberMeasurement], mean_photon_number: float,
-                     dark_count_prob: float, loss_per_km_db: float,
-                     det_efficiency: float, att: float = 1.0) -> float:
+def fit_misalignment(data: Sequence[QberMeasurement], src: SourceModel, det: DetectorModel,
+                     loss_per_km_db: float, att: float = 1.0) -> tuple[float, list[float]]:
     """Least-squares misalignment from measured QBER vs distance.
 
-    Mean photon number, dark counts and the loss model are held fixed; the
-    QBER model is affine in the misalignment, so the minimizer is the
+    The source, the detector's other parameters and the loss model are
+    held fixed. The click/error model's QBER is exactly affine in the
+    misalignment, e = a + (1 - 2a) * p_mis, where a is the QBER at
+    misalignment 0 (the dead-time factor cancels), so the minimizer is the
     closed-form linear regression solution. Deterministic. The result is
     clamped to the physical range [0, 0.5].
 
+    Returns:
+        (p_mis, modeled QBER at p_mis for each measurement).
+
     Raises:
-        ValueError: on an empty dataset, or if every point carries zero
-            signal (no sensitivity to the misalignment).
+        ValueError: on an empty dataset, a point with zero clicks, or if
+            every point is pure dark counts (no sensitivity to the
+            misalignment).
     """
     if not data:
         raise ValueError("at least one QBER measurement is required")
-    # e_i = a_i + b_i * p_mis  with a_i the dark-count part of the model
+    aligned = replace(det, misalignment=0.0)
+    offsets = []
     sum_bb = 0.0
     sum_by = 0.0
     for m in data:
-        t = ChannelModel.from_fiber(m.distance_km, loss_per_km_db).transmittance \
-            * det_efficiency * att
-        signal = mean_photon_number * t
-        denom = dark_count_prob + signal
-        if denom == 0.0:
-            raise ValueError("dark_count_prob and <n>*T cannot both be zero")
-        a = dark_count_prob / 2.0 / denom
-        b = signal / denom
+        p_c, p_e = click_error_probs(src, ChannelModel.from_fiber(m.distance_km, loss_per_km_db),
+                                     aligned, att)
+        if p_c == 0.0:
+            raise ValueError(f"no clicks at {m.distance_km} km; the QBER is undefined")
+        a = p_e / p_c
+        b = 1.0 - 2.0 * a
+        offsets.append(a)
         sum_bb += b * b
         sum_by += b * (m.qber - a)
     if sum_bb == 0.0:
         raise ValueError("dataset carries no signal; misalignment is unidentifiable")
-    return min(max(sum_by / sum_bb, 0.0), 0.5)
+    p_mis = min(max(sum_by / sum_bb, 0.0), 0.5)
+    return p_mis, [a + (1.0 - 2.0 * a) * p_mis for a in offsets]
 
 
 def gllp_bracket(single_photon_fraction: float, e_x: float, e_z: float,

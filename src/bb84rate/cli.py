@@ -19,7 +19,7 @@ import math
 import sys
 from typing import Iterable, Sequence
 
-from .asymptotic import QberMeasurement, fit_misalignment, qber_model
+from .asymptotic import QberMeasurement, fit_misalignment
 from .config import ConfigError, RunConfig, load_config
 from .mc_oracle import TrialConfig, run_oracle_suite
 from .models import ChannelModel
@@ -134,7 +134,7 @@ _NO_RESULT = (0,) + (math.nan,) * (len(_FINITE_COLUMNS) - 1)
 
 
 def _cmd_finite(cfg: RunConfig, out: str, fmt: str) -> int:
-    channel = cfg.fixed_channel()
+    channel = cfg.channel
     by_block = cfg.finite_block_sizes is not None
     if by_block:
         axis, values = "block_size_received", cfg.finite_block_sizes
@@ -215,22 +215,14 @@ def _read_qber_csv(path: str) -> list[QberMeasurement]:
 
 def _cmd_fit_qber(cfg: RunConfig, data_path: str, out: str) -> int:
     data = _read_qber_csv(data_path)
-    p_mis = fit_misalignment(
-        data, cfg.source.mean_photon_number, cfg.detector.dark_count_prob,
-        cfg.loss_per_km_db, cfg.detector.det_efficiency, cfg.protocol.att,
-    )
-    points = []
-    for m in data:
-        t = (ChannelModel.from_fiber(m.distance_km, cfg.loss_per_km_db).transmittance
-             * cfg.detector.det_efficiency * cfg.protocol.att)
-        modeled = qber_model(cfg.source.mean_photon_number, t,
-                             cfg.detector.dark_count_prob, p_mis)
-        points.append({
-            "distance_km": m.distance_km,
-            "qber_measured": m.qber,
-            "qber_model": modeled,
-            "residual": m.qber - modeled,
-        })
+    p_mis, modeled = fit_misalignment(data, cfg.source, cfg.detector, cfg.loss_per_km_db,
+                                      cfg.protocol.att)
+    points = [{
+        "distance_km": m.distance_km,
+        "qber_measured": m.qber,
+        "qber_model": e,
+        "residual": m.qber - e,
+    } for m, e in zip(data, modeled)]
     report = {
         "config": cfg.resolved,
         "p_mis": p_mis,
@@ -244,7 +236,10 @@ def _cmd_fit_qber(cfg: RunConfig, data_path: str, out: str) -> int:
 def _cmd_oracle(cfg: RunConfig, out: str, seed_override: int | None) -> int:
     o = cfg.oracle
     seed = seed_override if seed_override is not None else o["seed"]
-    trial = TrialConfig(seed=seed, n_pulses=o["n_pulses"], eps_test=o["eps_test"])
+    try:
+        trial = TrialConfig(seed=seed, n_pulses=o["n_pulses"], eps_test=o["eps_test"])
+    except ValueError as exc:  # only the --seed flag is unchecked by load_config
+        raise ConfigError(f"--seed: {exc}") from exc
     report = run_oracle_suite(
         cfg.source, cfg.detector, cfg.protocol, trial,
         losses_db=tuple(o["losses_db"]),

@@ -8,6 +8,7 @@ time in ns, fibre loss in dB/km.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 
 from .finitekey import SecurityParams
@@ -121,23 +122,13 @@ class RunConfig:
     security: SecurityParams
     optimizer: OptimizationConfig
     loss_per_km_db: float
-    distance_km: float | None
-    loss_db: float | None
+    channel: ChannelModel
     asymptotic_distances_km: list[float]
     finite_acquisition_times_s: list[float] | None
     finite_block_sizes: list[float] | None
     maxloss_times_s: list[float]
     oracle: dict
     resolved: dict = field(repr=False)
-
-    def fixed_channel(self) -> ChannelModel:
-        """Channel for the commands that run at one operating point.
-
-        An explicit loss_db takes precedence over the distance.
-        """
-        if self.loss_db is not None:
-            return ChannelModel(loss_db=self.loss_db)
-        return ChannelModel.from_fiber(self.distance_km, self.loss_per_km_db)
 
 
 def _read_raw(path: str | None) -> dict[str, dict[str, object]]:
@@ -197,6 +188,9 @@ def load_config(path: str | None = None) -> RunConfig:
         values = resolved[section][key]
         if values is not None and any(b <= a for a, b in zip(values, values[1:])):
             raise ConfigError(f"[{section}] {key} must be strictly increasing")
+    for t in resolved["maxloss"]["acquisition_times_s"]:
+        if not 0.0 <= t < math.inf:
+            raise ConfigError(f"[maxloss] acquisition_times_s must be finite and >= 0, got {t}")
 
     oracle = resolved["oracle"]
     try:
@@ -211,6 +205,13 @@ def load_config(path: str | None = None) -> RunConfig:
             dead_time=get("detector", "dead_time_ns") * 1e-9,
             misalignment=get("detector", "misalignment"),
         )
+        # the channel for commands run at one operating point; building it
+        # from the distance also checks loss_per_km_db, which every command
+        # uses, even when an explicit loss_db takes precedence
+        channel = ChannelModel.from_fiber(get("channel", "distance_km"),
+                                          get("channel", "loss_per_km_db"))
+        if get("channel", "loss_db") is not None:
+            channel = ChannelModel(loss_db=get("channel", "loss_db"))
         protocol = ProtocolParams(p_x=get("protocol", "p_x"), att=get("protocol", "att"))
         security = SecurityParams(
             eps_prime=get("security", "eps_prime"),
@@ -246,8 +247,7 @@ def load_config(path: str | None = None) -> RunConfig:
         security=security,
         optimizer=optimizer,
         loss_per_km_db=get("channel", "loss_per_km_db"),
-        distance_km=get("channel", "distance_km"),
-        loss_db=get("channel", "loss_db"),
+        channel=channel,
         asymptotic_distances_km=get("asymptotic", "distances_km"),
         finite_acquisition_times_s=finite_times,
         finite_block_sizes=finite_blocks,

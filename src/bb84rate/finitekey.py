@@ -175,14 +175,13 @@ class FiniteKeyResult:
 
 
 def expected_counts(src: SourceModel, ch: ChannelModel, det: DetectorModel,
-                    protocol: ProtocolParams) -> SessionCounts:
-    """Expected session tallies for the given models.
+                    protocol: ProtocolParams, n_sent: float) -> SessionCounts:
+    """Expected session tallies of n_sent pulses for the given models.
 
     Errors use the same per-pulse error probability in the
     parameter-estimation basis. The multiphoton bound applies after
     pre-attenuation, which thins two-photon pulses quadratically.
     """
-    n_sent = protocol.resolved_n_sent(src.rep_rate)
     p_c, p_e = click_error_probs(src, ch, det, protocol.att)
     return SessionCounts.from_probs(n_sent, protocol.p_x, p_c, p_e,
                                     src.attenuated_multiphoton_prob(protocol.att))
@@ -267,12 +266,13 @@ def inverse_binomial_cdf(eps: float, n: int, q: float) -> int:
     Returns -1 when even CDF(0) exceeds eps (no such m). The continuous
     inverse of the regularized incomplete beta function supplies a
     starting point, which is then adjusted with exact CDF evaluations, so
-    the convention holds for any n representable in a double.
+    the convention holds for any n the exact CDF accepts: scipy's bdtr
+    takes n as a C long, which limits n to 1 <= n < 2**63.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    if not 1 <= n < 2**63:
+        raise ValueError(f"n must satisfy 1 <= n < 2**63, got {n}")
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must be in [0, 1], got {q}")
     if float(_sp.bdtr(0.0, n, q)) > eps:

@@ -130,34 +130,22 @@ class DetectorModel:
 
 @dataclass(frozen=True)
 class ProtocolParams:
-    """Protocol knobs: basis bias, source pre-attenuation and block size.
+    """Protocol knobs: basis bias and source pre-attenuation.
 
     Attributes:
         p_x: probability of choosing the key-generation basis, in (0, 1).
         att: pre-attenuation transmission applied between the source and
             the channel, in (0, 1].
-        n_sent: number of pulses sent, >= 0. Mutually exclusive with
-            acquisition_time_s.
-        acquisition_time_s: session length in seconds; the pulse count is
-            then rep_rate * time.
     """
 
     p_x: float = 0.5
     att: float = 1.0
-    n_sent: float | None = None
-    acquisition_time_s: float | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.p_x < 1.0:
             raise ValueError(f"p_x must be in (0, 1), got {self.p_x}")
         if not 0.0 < self.att <= 1.0:
             raise ValueError(f"att must be in (0, 1], got {self.att}")
-        if self.n_sent is not None and self.acquisition_time_s is not None:
-            raise ValueError("specify n_sent or acquisition_time_s, not both")
-        if self.n_sent is not None and self.n_sent < 0.0:
-            raise ValueError(f"n_sent must be >= 0, got {self.n_sent}")
-        if self.acquisition_time_s is not None and self.acquisition_time_s < 0.0:
-            raise ValueError(f"acquisition_time_s must be >= 0, got {self.acquisition_time_s}")
 
     @property
     def p_z(self) -> float:
@@ -167,13 +155,6 @@ class ProtocolParams:
     def sift_ratio(self) -> float:
         """Fraction of rounds where both parties picked the same basis."""
         return self.p_x**2 + (1.0 - self.p_x) ** 2
-
-    def resolved_n_sent(self, rep_rate: float) -> float:
-        if self.n_sent is not None:
-            return self.n_sent
-        if self.acquisition_time_s is not None:
-            return rep_rate * self.acquisition_time_s
-        raise ValueError("neither n_sent nor acquisition_time_s was set")
 
 
 def dead_time_corrected_click(f: float, rep_rate: float, dead_time: float) -> float:

@@ -13,7 +13,7 @@ from bb84rate import (ChannelModel, DetectorModel, OptimizationConfig, ProtocolP
                       SourceModel, TrialConfig, asymptotic_rate, chernoff_coverage,
                       chernoff_upper, click_error_probs, expected_counts, binary_entropy,
                       finite_key_length, gamma_u, max_tolerable_loss, optimize_point,
-                      qber_model, sample_session,
+                      sample_session,
                       sampling_bound_coverage)
 from bb84rate.mc_oracle import run_oracle_suite
 
@@ -131,10 +131,11 @@ def test_supplementary_hour_reaches_asymptotic_boundary(maxloss_curve, boundarie
 
 def test_criterion_6_qber_model(source, detector, boundaries):
     plain, _, _ = boundaries
-    t = 10.0 ** (-plain / 10.0) * detector.det_efficiency
-    e_boundary = qber_model(source.mean_photon_number, t, detector.dark_count_prob,
-                            detector.misalignment)
-    dark_limit = qber_model(1e-15, 1.0, detector.dark_count_prob, detector.misalignment)
+    p_c, p_e = click_error_probs(source, ChannelModel(plain), detector)
+    e_boundary = p_e / p_c
+    dark_src = SourceModel(1e-15, source.g2, source.rep_rate)
+    p_c, p_e = click_error_probs(dark_src, ChannelModel(0.0), detector)
+    dark_limit = p_e / p_c
     ok = abs(e_boundary - 0.02) <= 0.005 and abs(dark_limit - 0.5) <= 1e-6
     report(6, "QBER model", ok,
            f"QBER at the {plain:.1f} dB boundary = {e_boundary * 100:.2f}% "
@@ -244,7 +245,7 @@ def test_criterion_10_invariant_suite(source, detector, security):
     p_c, p_e = click_error_probs(source, ch, detector)
     prev_ell = -1
     for n_sent in (1e9, 1e10, 1e11):
-        counts = expected_counts(source, ch, detector, ProtocolParams(p_x=0.9, n_sent=n_sent))
+        counts = expected_counts(source, ch, detector, ProtocolParams(p_x=0.9), n_sent)
         fin = finite_key_length(counts, security, p_e / p_c)
         check(f"chernoff conservative x (N={n_sent:g})", fin.n_mp_upper_x >= counts.n_mp_star_x)
         check(f"chernoff conservative z (N={n_sent:g})", fin.n_mp_upper_z >= counts.n_mp_star_z)
@@ -275,7 +276,7 @@ def test_criterion_10_invariant_suite(source, detector, security):
     p2 = optimize_point(source, ch, detector, cfg, mode="finite", sec=security, n_sent=1e10)
     check("optimizer deterministic", (p1.p_x, p1.att, p1.rate_per_pulse)
           == (p2.p_x, p2.att, p2.rate_per_pulse))
-    counts_default = expected_counts(source, ch, detector, ProtocolParams(p_x=0.5, n_sent=1e10))
+    counts_default = expected_counts(source, ch, detector, ProtocolParams(p_x=0.5), 1e10)
     default_rate = finite_key_length(counts_default, security, p_e / p_c).rate
     check("optimized never below defaults", p1.rate_per_pulse >= default_rate)
 

@@ -1,26 +1,38 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from bb84rate import (ChannelModel, DetectorModel, ProtocolParams, QberMeasurement,
-                      SourceModel, asymptotic_rate, f_ec, fit_misalignment, gllp_bracket,
-                      qber_model)
+                      SourceModel, asymptotic_rate, click_error_probs, f_ec, fit_misalignment,
+                      gllp_bracket)
+
+
+def qber(src, ch, det, att=1.0):
+    p_c, p_e = click_error_probs(src, ch, det, att)
+    return p_e / p_c
 
 
 class TestQberModel:
     def test_dark_count_limit(self):
-        assert qber_model(1e-15, 1.0, 1e-7, 0.003) == pytest.approx(0.5, abs=1e-6)
+        e = qber(SourceModel(1e-15, 0.036, 160.7e6), ChannelModel(0.0),
+                 DetectorModel(1.0, 1e-7, 0.0, 0.003))
+        assert e == pytest.approx(0.5, abs=1e-6)
 
     def test_signal_limit(self):
-        assert qber_model(0.0142, 1.0, 0.0, 0.003) == pytest.approx(0.003, rel=1e-12)
+        e = qber(SourceModel(0.0142, 0.036, 160.7e6), ChannelModel(0.0),
+                 DetectorModel(1.0, 0.0, 0.0, 0.003))
+        assert e == pytest.approx(0.003, rel=1e-12)
 
     def test_rejects_zero_denominator(self):
-        with pytest.raises(ValueError):
-            qber_model(0.0, 1.0, 0.0, 0.003)
+        # no photons and no dark counts: no clicks, so no QBER to fit
+        data = [QberMeasurement(distance_km=0.0, qber=0.01)]
+        with pytest.raises(ValueError, match="no clicks"):
+            fit_misalignment(data, SourceModel(0.0, 0.0, 1e6), DetectorModel(1.0, 0.0), 0.1904)
 
-    def test_value_near_max_loss(self):
+    def test_value_near_max_loss(self, source, detector):
         # around the zero-rate boundary (~33 dB) the model sits near 2%
-        t = 10 ** (-33.3 / 10.0) * 0.6525
-        e = qber_model(0.0142, t, 1.47e-7, 0.003)
+        e = qber(source, ChannelModel(33.3), detector)
         assert e == pytest.approx(0.0193, abs=5e-4)
 
 
@@ -52,36 +64,37 @@ class TestFEc:
 class TestFitMisalignment:
     DISTANCES = [0.0, 25.0, 50.0, 75.0, 100.0, 140.0, 175.0]
 
-    def synth(self, p_mis, noise=0.0, seed=None):
+    def synth(self, source, detector, p_mis, noise=0.0, seed=None):
         rng = np.random.default_rng(seed)
+        det = replace(detector, misalignment=p_mis)
         data = []
         for d in self.DISTANCES:
-            t = 10 ** (-d * 0.1904 / 10.0) * 0.6525
-            e = qber_model(0.0142, t, 1.47e-7, p_mis)
+            e = qber(source, ChannelModel.from_fiber(d, 0.1904), det)
             if noise:
                 e *= 1.0 + noise * rng.standard_normal()
             data.append(QberMeasurement(distance_km=d, qber=min(max(e, 0.0), 0.5)))
         return data
 
-    def test_exact_recovery(self):
-        data = self.synth(0.003)
-        fit = fit_misalignment(data, 0.0142, 1.47e-7, 0.1904, 0.6525)
+    def test_exact_recovery(self, source, detector):
+        data = self.synth(source, detector, 0.003)
+        fit, modeled = fit_misalignment(data, source, detector, 0.1904)
         assert fit == pytest.approx(0.003, abs=1e-9)
+        assert modeled == pytest.approx([m.qber for m in data], rel=1e-12)
 
-    def test_single_point_closed_form(self):
+    def test_single_point_closed_form(self, source):
         data = [QberMeasurement(distance_km=0.0, qber=0.01)]
-        fit = fit_misalignment(data, 0.0142, 0.0, 0.1904, 1.0)
+        fit, _ = fit_misalignment(data, source, DetectorModel(1.0, 0.0), 0.1904)
         assert fit == pytest.approx(0.01, rel=1e-12)
 
-    def test_noisy_recovery_across_seeded_trials(self):
+    def test_noisy_recovery_across_seeded_trials(self, source, detector):
         for seed in range(100):
-            data = self.synth(0.003, noise=0.05, seed=seed)
-            fit = fit_misalignment(data, 0.0142, 1.47e-7, 0.1904, 0.6525)
+            data = self.synth(source, detector, 0.003, noise=0.05, seed=seed)
+            fit, _ = fit_misalignment(data, source, detector, 0.1904)
             assert abs(fit - 0.003) <= 0.2 * 0.003, f"seed {seed}: fit {fit}"
 
-    def test_empty_dataset_rejected(self):
+    def test_empty_dataset_rejected(self, source, detector):
         with pytest.raises(ValueError):
-            fit_misalignment([], 0.0142, 1.47e-7, 0.1904, 0.6525)
+            fit_misalignment([], source, detector, 0.1904)
 
 
 class TestAsymptoticRate:

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from bb84rate import ChannelModel, DetectorModel, SourceModel, click_error_probs
 from bb84rate.cli import main, read_result_csv
 
 FAST_OPT = """
@@ -21,6 +22,13 @@ chernoff_trials = 20000
 sampling_trials = 2000
 losses_db = 0,20
 """
+
+
+def kernel_qber(distance_km, p_mis):
+    src = SourceModel(0.0142, 0.036, 160.7e6)
+    det = DetectorModel(0.6525, 1.47e-7, 27.5e-9, p_mis)
+    p_c, p_e = click_error_probs(src, ChannelModel.from_fiber(distance_km, 0.1904), det)
+    return p_e / p_c
 
 
 def write(path, text):
@@ -144,11 +152,9 @@ class TestMaxlossCommand:
 
 class TestFitQberCommand:
     def synth_csv(self, tmp_path, p_mis=0.003, blank=False):
-        from bb84rate import qber_model
         lines = ["distance_km,qber"]
         for d in (0.0, 50.0, 100.0, 150.0):
-            t = 10 ** (-d * 0.1904 / 10.0) * 0.6525
-            lines.append(f"{d},{qber_model(0.0142, t, 1.47e-7, p_mis)!r}")
+            lines.append(f"{d},{kernel_qber(d, p_mis)!r}")
             if blank and d == 50.0:
                 lines.append("")
         return write(tmp_path / "qber.csv", "\n".join(lines) + "\n")
@@ -161,6 +167,27 @@ class TestFitQberCommand:
         assert report["p_mis"] == pytest.approx(0.003, abs=1e-9)
         assert len(report["points"]) == 4
         assert all(abs(r) < 1e-12 for r in report["residuals"])
+
+    def test_model_column_is_the_kernel_qber(self, tmp_path):
+        data = write(tmp_path / "qber.csv",
+                     "distance_km,qber\n0,0.004\n50,0.0045\n100,0.0062\n150,0.013\n")
+        out = tmp_path / "fit.json"
+        assert main(["fit-qber", "--data", data, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        for point in report["points"]:
+            assert point["qber_model"] == pytest.approx(
+                kernel_qber(point["distance_km"], report["p_mis"]), rel=1e-12)
+
+    def test_all_half_qber_fits_half(self, tmp_path):
+        # p_mis = 0.5 is outside DetectorModel's range, so the modeled
+        # column cannot come from rebuilding a detector at the fit
+        data = write(tmp_path / "half.csv", "distance_km,qber\n0,0.5\n100,0.5\n")
+        out = tmp_path / "fit.json"
+        assert main(["fit-qber", "--data", data, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["p_mis"] == 0.5
+        assert [p["qber_model"] for p in report["points"]] == pytest.approx([0.5, 0.5],
+                                                                             rel=1e-12)
 
     def test_single_row(self, tmp_path):
         data = write(tmp_path / "one.csv", "distance_km,qber\n0.0,0.004\n")
@@ -228,10 +255,26 @@ class TestConfigHandling:
         assert main(["asymptotic", "--config", cfg, "--out", "-"]) == 1
         assert "unknown config section" in capsys.readouterr().err
 
-    def test_out_of_range_value_rejected(self, tmp_path, capsys):
-        cfg = write(tmp_path / "run.ini", "[detector]\nefficiency = 1.5\n")
-        assert main(["asymptotic", "--config", cfg, "--out", "-"]) == 1
-        assert "config error" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv, text", [
+        ("asymptotic", "[detector]\nefficiency = 1.5\n"),
+        ("finite", "[channel]\ndistance_km = -5\n"),
+        ("asymptotic", "[channel]\nloss_per_km_db = 0\n"),
+        ("fit-qber --data qber.csv", "[channel]\nloss_per_km_db = -1\n"),
+        ("finite", "[channel]\nloss_db = 5\nloss_per_km_db = -1\n"),
+        ("maxloss", "[maxloss]\nacquisition_times_s = -1\n"),
+        ("maxloss", "[maxloss]\nacquisition_times_s = 1,nan\n"),
+        ("maxloss", "[maxloss]\nacquisition_times_s = inf\n"),
+        ("oracle --seed -1", ""),
+    ], ids=["efficiency", "distance", "loss_per_km_asymptotic", "loss_per_km_fit_qber",
+            "loss_per_km_with_loss_db", "maxloss_time_negative", "maxloss_time_nan",
+            "maxloss_time_inf", "seed_flag"])
+    def test_out_of_range_value_rejected(self, tmp_path, monkeypatch, capsys, argv, text):
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path / "qber.csv", "distance_km,qber\n0,0.004\n")
+        cfg = write(tmp_path / "run.ini", text)
+        assert main([*argv.split(), "--config", cfg, "--out", "-"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
 
     def test_mutually_exclusive_channel_keys(self, tmp_path):
         cfg = write(tmp_path / "run.ini", "[channel]\ndistance_km = 10\nloss_db = 5\n")

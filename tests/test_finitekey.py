@@ -72,19 +72,19 @@ class TestChernoffUpper:
 class TestExpectedCounts:
     def test_zero_pulses(self, source, detector):
         counts = expected_counts(source, ChannelModel(0.0), detector,
-                                 ProtocolParams(p_x=0.7, n_sent=0.0))
+                                 ProtocolParams(p_x=0.7), 0.0)
         assert counts.n_rx_x == counts.n_rx_z == counts.m_z == 0.0
         assert counts.n_mp_star_x == counts.n_mp_star_z == 0.0
 
     def test_extreme_bias_starves_pe_basis(self, source, detector):
         counts = expected_counts(source, ChannelModel(0.0), detector,
-                                 ProtocolParams(p_x=1.0 - 1e-12, n_sent=1e9))
+                                 ProtocolParams(p_x=1.0 - 1e-12), 1e9)
         assert counts.n_rx_z < 1e-3
         assert counts.m_z < 1e-3
 
     def test_scalings(self, source, detector):
-        p = ProtocolParams(p_x=0.8, att=0.5, n_sent=1e9)
-        counts = expected_counts(source, ChannelModel(10.0), detector, p)
+        p = ProtocolParams(p_x=0.8, att=0.5)
+        counts = expected_counts(source, ChannelModel(10.0), detector, p, 1e9)
         p_c, p_e = click_error_probs(source, ChannelModel(10.0), detector, 0.5)
         assert counts.n_rx_x == pytest.approx(1e9 * 0.64 * p_c, rel=1e-12)
         assert counts.n_rx_z == pytest.approx(1e9 * 0.04 * p_c, rel=1e-12)
@@ -92,11 +92,6 @@ class TestExpectedCounts:
         # multiphoton expectation carries the quadratic attenuation factor
         p_m = source.multiphoton_prob
         assert counts.n_mp_star_x == pytest.approx(1e9 * 0.64 * p_m * 0.25, rel=1e-12)
-
-    def test_acquisition_time_resolution(self, source, detector):
-        counts = expected_counts(source, ChannelModel(0.0), detector,
-                                 ProtocolParams(acquisition_time_s=60.0))
-        assert counts.n_sent == pytest.approx(160.7e6 * 60.0)
 
 
 class TestNonMultiphotonLower:
@@ -121,7 +116,7 @@ class TestNonMultiphotonLower:
         # one hour at the longest demonstrated range keeps the bound positive
         ch = ChannelModel.from_fiber(175.0, 0.1904)
         counts = expected_counts(source, ch, detector,
-                                 ProtocolParams(p_x=0.5, acquisition_time_s=3600.0))
+                                 ProtocolParams(p_x=0.5), source.rep_rate * 3600.0)
         lower_x, lower_z = self.lower(counts, security)
         assert lower_x > 0.0 and lower_z > 0.0
 
@@ -214,6 +209,15 @@ class TestInverseBinomialCdf:
         m = inverse_binomial_cdf(1e-15, 10**6, 0.98)
         assert m == FINV_1E6
 
+    def test_n_limited_to_c_long(self):
+        # scipy's bdtr takes n as a C long: the largest one still works and
+        # the first one past it is a ValueError that names the limit
+        assert 0 < inverse_binomial_cdf(1e-15, 2**63 - 1, 0.98) < 2**63 - 1
+        with pytest.raises(ValueError, match=r"2\*\*63"):
+            inverse_binomial_cdf(1e-15, 2**63, 0.98)
+        with pytest.raises(ValueError, match=r"2\*\*63"):
+            lambda_ec(1e20, 0.02, 1e-15)
+
 
 class TestLambdaEc:
     def test_zero_error_rate_leaks_nothing(self):
@@ -250,7 +254,7 @@ class TestFiniteKeyLength:
     def test_conservative_orderings(self, source, detector, security):
         ch = ChannelModel.from_fiber(100.0)
         counts = expected_counts(source, ch, detector,
-                                 ProtocolParams(p_x=0.9, acquisition_time_s=60.0))
+                                 ProtocolParams(p_x=0.9), source.rep_rate * 60.0)
         p_c, p_e = click_error_probs(source, ch, detector)
         res = finite_key_length(counts, security, p_e / p_c)
         assert res.n_mp_upper_x >= counts.n_mp_star_x
@@ -267,7 +271,7 @@ class TestFiniteKeyLength:
         previous = -1
         for n_sent in (1e8, 1e9, 1e10, 1e11):
             counts = expected_counts(source, ch, detector,
-                                     ProtocolParams(p_x=0.9, n_sent=n_sent))
+                                     ProtocolParams(p_x=0.9), n_sent)
             res = finite_key_length(counts, security, p_e / p_c)
             assert res.ell >= previous
             previous = res.ell
@@ -279,7 +283,7 @@ class TestFiniteKeyLength:
             ch = ChannelModel(loss)
             p_c, p_e = click_error_probs(source, ch, detector)
             counts = expected_counts(source, ch, detector,
-                                     ProtocolParams(p_x=p_x, n_sent=1e10))
+                                     ProtocolParams(p_x=p_x), 1e10)
             res = finite_key_length(counts, security, p_e / p_c)
             asym = asymptotic_rate(source, ch, detector, ProtocolParams(p_x=p_x))
             assert res.rate <= asym.rate_per_pulse + 1e-15
@@ -299,8 +303,8 @@ class TestFiniteKeyLength:
                                 loss_db, p_x, att, log_n_sent):
         # no parameter corner may produce NaNs, negatives or broken bounds
         ch = ChannelModel(loss_db)
-        protocol = ProtocolParams(p_x=p_x, att=att, n_sent=10.0**log_n_sent)
-        counts = expected_counts(source, ch, detector, protocol)
+        protocol = ProtocolParams(p_x=p_x, att=att)
+        counts = expected_counts(source, ch, detector, protocol, 10.0**log_n_sent)
         p_c, p_e = click_error_probs(source, ch, detector, att)
         res = finite_key_length(counts, security, p_e / p_c)
         assert res.ell >= 0

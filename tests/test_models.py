@@ -1,7 +1,7 @@
 from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bb84rate import (ChannelModel, DetectorModel, ProtocolParams, SourceModel,
@@ -85,14 +85,6 @@ class TestProtocolParams:
         assert p.sift_ratio == pytest.approx(0.81 + 0.01)
         assert p.p_z == pytest.approx(0.1)
 
-    def test_n_sent_resolution(self):
-        assert ProtocolParams(n_sent=100.0).resolved_n_sent(1e6) == 100.0
-        assert ProtocolParams(acquisition_time_s=2.0).resolved_n_sent(1e6) == 2e6
-        with pytest.raises(ValueError):
-            ProtocolParams().resolved_n_sent(1e6)
-        with pytest.raises(ValueError):
-            ProtocolParams(n_sent=1.0, acquisition_time_s=1.0)
-
 
 class TestRawClickProb:
     # with no dead time, the click probability is the raw click sum
@@ -164,6 +156,28 @@ class TestErrorProb:
         p_c, p_e = click_error_probs(source, ChannelModel(loss_db), detector, att)
         qber = p_e / p_c
         assert detector.misalignment - 1e-12 <= qber <= 0.5
+
+    @settings(max_examples=300)
+    @given(nbar=st.floats(min_value=1e-6, max_value=0.99),
+           g2=st.floats(min_value=0.0, max_value=1.0),
+           det_eff=st.floats(min_value=1e-3, max_value=1.0),
+           dark=st.sampled_from([0.0, 1e-9, 1.47e-7, 1e-3]),
+           dead=st.sampled_from([0.0, 27.5e-9]),
+           loss_db=st.floats(min_value=0.0, max_value=60.0),
+           att=st.floats(min_value=0.01, max_value=1.0),
+           # misalignments below 1e-6 would push the error sum into
+           # subnormal floats, where relative precision is lost
+           p_mis=st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=0.499)))
+    def test_qber_affine_in_misalignment(self, nbar, g2, det_eff, dark, dead, loss_db, att,
+                                         p_mis):
+        # fit_misalignment's closed form relies on e = a + (1 - 2a) * p_mis,
+        # with a the QBER at misalignment 0
+        src = SourceModel(nbar, g2, 160.7e6)
+        ch = ChannelModel(loss_db)
+        p_c0, p_e0 = click_error_probs(src, ch, DetectorModel(det_eff, dark, dead, 0.0), att)
+        p_c, p_e = click_error_probs(src, ch, DetectorModel(det_eff, dark, dead, p_mis), att)
+        a = p_e0 / p_c0
+        assert p_e / p_c == pytest.approx(a + (1.0 - 2.0 * a) * p_mis, rel=1e-12, abs=0.0)
 
 
 class TestMonotonicity:

@@ -57,7 +57,7 @@ class TestOptimizePoint:
         n_sent = 160.7e6 * 60.0
         point = optimize_point(source, ch, detector, fast_opt, mode="finite", n_sent=n_sent)
         p_c, p_e = click_error_probs(source, ch, detector, 1.0)
-        counts = expected_counts(source, ch, detector, ProtocolParams(p_x=0.5, n_sent=n_sent))
+        counts = expected_counts(source, ch, detector, ProtocolParams(p_x=0.5), n_sent)
         from bb84rate import SecurityParams
         default = finite_key_length(counts, SecurityParams(), p_e / p_c)
         assert point.rate_per_pulse >= default.rate
@@ -84,7 +84,7 @@ class TestOptimizePoint:
         point = optimize_point(source, ch, detector, fast_opt, mode="finite",
                                n_sent=1e9)
         reference = expected_counts(source, ch, detector,
-                                    ProtocolParams(p_x=point.p_x, att=point.att, n_sent=1e9))
+                                    ProtocolParams(p_x=point.p_x, att=point.att), 1e9)
         got = point.result.counts
         assert got.n_rx_x == reference.n_rx_x
         assert got.n_rx_z == reference.n_rx_z
