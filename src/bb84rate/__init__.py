@@ -4,8 +4,8 @@ Asymptotic and composable finite-size key rates with Chernoff-bound
 statistics, plus numerical optimization of the basis bias and source
 pre-attenuation over distance, block size and acquisition time.
 """
-from .asymptotic import (F_EC_TABLE, AsymptoticResult, QberMeasurement, asymptotic_rate,
-                         f_ec, fit_misalignment, gllp_bracket)
+from .asymptotic import (AsymptoticResult, QberMeasurement, asymptotic_rate, f_ec,
+                         fit_misalignment, gllp_bracket)
 from .entropy import binary_entropy
 from .finitekey import (FiniteKeyResult, SecurityParams, SessionCounts, chernoff_upper,
                         expected_counts, finite_key_length, gamma_u, inverse_binomial_cdf,
@@ -23,7 +23,6 @@ __all__ = [
     "AsymptoticResult",
     "ChannelModel",
     "DetectorModel",
-    "F_EC_TABLE",
     "FiniteKeyResult",
     "NoPositiveRateError",
     "OptimizationConfig",

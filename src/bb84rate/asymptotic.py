@@ -15,7 +15,6 @@ from .entropy import binary_entropy
 from .models import ChannelModel, DetectorModel, ProtocolParams, SourceModel, click_error_probs
 
 __all__ = [
-    "F_EC_TABLE",
     "AsymptoticResult",
     "QberMeasurement",
     "f_ec",
@@ -27,7 +26,7 @@ __all__ = [
 # Error-correction inefficiency vs QBER: piecewise-linear anchor nodes.
 # Practical one-way codes run at 1.16 for the low-QBER regime relevant
 # here; the factor degrades as the error rate grows. Every rate uses this
-# table; f_ec's table argument evaluates another code family on its own.
+# table, through f_ec.
 F_EC_TABLE: tuple[tuple[float, float], ...] = (
     (0.00, 1.16),
     (0.05, 1.16),
@@ -45,14 +44,13 @@ class AsymptoticResult:
         rate_bps: rate_per_pulse times the source repetition rate.
         single_photon_fraction: fraction of clicks attributed to
             non-multiphoton emissions, in [0, 1].
-        e_x, e_z: QBER in the key and parameter-estimation basis.
+        e_z: QBER, the same in both bases.
         p_click: per-pulse detection probability (dead-time corrected).
     """
 
     rate_per_pulse: float
     rate_bps: float
     single_photon_fraction: float
-    e_x: float
     e_z: float
     p_click: float
 
@@ -71,19 +69,19 @@ class QberMeasurement:
             raise ValueError(f"qber must be in [0, 0.5], got {self.qber}")
 
 
-def f_ec(e: float, table: Sequence[tuple[float, float]] = F_EC_TABLE) -> float:
+def f_ec(e: float) -> float:
     """Error-correction inefficiency factor at QBER e.
 
-    Linear interpolation over the anchor table, clamped to the nearest
-    endpoint outside its range.
+    Linear interpolation over F_EC_TABLE, clamped to the nearest endpoint
+    outside its range.
     """
     if not 0.0 <= e <= 0.5:
         raise ValueError(f"qber must be in [0, 0.5], got {e}")
-    if e <= table[0][0]:
-        return table[0][1]
-    if e >= table[-1][0]:
-        return table[-1][1]
-    for (x0, y0), (x1, y1) in zip(table, table[1:]):
+    if e <= F_EC_TABLE[0][0]:
+        return F_EC_TABLE[0][1]
+    if e >= F_EC_TABLE[-1][0]:
+        return F_EC_TABLE[-1][1]
+    for (x0, y0), (x1, y1) in zip(F_EC_TABLE, F_EC_TABLE[1:]):
         if x0 <= e <= x1:
             return y0 + (y1 - y0) * (e - x0) / (x1 - x0)
     raise AssertionError("unreachable: table not ordered")
@@ -158,10 +156,10 @@ def asymptotic_rate(src: SourceModel, ch: ChannelModel, det: DetectorModel,
     p_c, p_e = click_error_probs(src, ch, det, protocol.att)
     p_m_eff = src.attenuated_multiphoton_prob(protocol.att)
     if p_c <= 0.0:
-        return AsymptoticResult(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        return AsymptoticResult(0.0, 0.0, 0.0, 0.0, 0.0)
     e = p_e / p_c
     if p_c <= p_m_eff:
-        return AsymptoticResult(0.0, 0.0, 0.0, e, e, p_c)
+        return AsymptoticResult(0.0, 0.0, 0.0, e, p_c)
     a = (p_c - p_m_eff) / p_c
     bracket = gllp_bracket(a, e, e, f_ec(e))
     per_pulse = max(0.0, protocol.sift_ratio * p_c * bracket)
@@ -169,7 +167,6 @@ def asymptotic_rate(src: SourceModel, ch: ChannelModel, det: DetectorModel,
         rate_per_pulse=per_pulse,
         rate_bps=per_pulse * src.rep_rate,
         single_photon_fraction=a,
-        e_x=e,
         e_z=e,
         p_click=p_c,
     )

@@ -126,8 +126,8 @@ def _cmd_asymptotic(cfg: RunConfig, out: str, fmt: str) -> int:
     return 0
 
 
-# FiniteKeyResult.to_dict keys emitted by `finite`, in column order. ell
-# comes first: a point without a result has key length 0 and NaN elsewhere.
+# FiniteKeyResult/SessionCounts fields emitted by `finite`, in column order.
+# ell comes first: a point without a result has key length 0 and NaN elsewhere.
 _FINITE_COLUMNS = ("ell", "n_sent", "n_rx_x", "n_rx_z", "m_z", "n_mp_upper_x", "n_mp_upper_z",
                    "n_nmp_x", "n_nmp_z", "phi_x", "phi_x_upper", "lambda_ec", "e_x")
 _NO_RESULT = (0,) + (math.nan,) * (len(_FINITE_COLUMNS) - 1)
@@ -150,8 +150,9 @@ def _cmd_finite(cfg: RunConfig, out: str, fmt: str) -> int:
               *_FINITE_COLUMNS, "status"]
     table = []
     for value, (point, status) in zip(values, run_sweep(values, point_at)):
-        d = point.result.to_dict() if point.result else {}
-        cells = [d[c] for c in _FINITE_COLUMNS] if d else _NO_RESULT
+        res = point.result
+        fields = {**vars(res.counts), **vars(res)} if res else {}
+        cells = [fields[c] for c in _FINITE_COLUMNS] if res else _NO_RESULT
         table.append([value, channel.loss_db, point.p_x, point.att, point.rate_bps,
                       point.rate_per_pulse, *cells, status])
     _emit_table(out, fmt, cfg.resolved, header, table)
@@ -163,15 +164,20 @@ def _cmd_maxloss(cfg: RunConfig, out: str, fmt: str) -> int:
     table = []
     for t in cfg.maxloss_times_s:
         n_sent = cfg.source.rep_rate * t
+        # a time the models reject gives an error row, as in run_sweep
         try:
             boundary = max_tolerable_loss(cfg.source, cfg.detector, cfg.optimizer,
                                           mode="finite", sec=cfg.security, n_sent=n_sent)
+            probe = max(0.0, boundary - cfg.optimizer.loss_bisection_tol_db)
+            point = optimize_point(cfg.source, ChannelModel(loss_db=probe), cfg.detector,
+                                   cfg.optimizer, mode="finite", sec=cfg.security,
+                                   n_sent=n_sent)
         except NoPositiveRateError:
             table.append([t, math.nan, math.nan, math.nan, "no_key_at_any_loss"])
             continue
-        probe = max(0.0, boundary - cfg.optimizer.loss_bisection_tol_db)
-        point = optimize_point(cfg.source, ChannelModel(loss_db=probe), cfg.detector,
-                               cfg.optimizer, mode="finite", sec=cfg.security, n_sent=n_sent)
+        except (ValueError, ArithmeticError) as exc:
+            table.append([t, math.nan, math.nan, math.nan, f"error: {exc}"])
+            continue
         table.append([t, boundary, point.p_x, point.att, "ok"])
     _emit_table(out, fmt, cfg.resolved, header, table)
     return 0

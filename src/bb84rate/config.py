@@ -44,51 +44,43 @@ def parse_values(text: str) -> list[float]:
     return [float(p) for p in text.split(",")]
 
 
-def _parse_float(text: str) -> float:
-    return float(text)
-
-
-def _parse_int(text: str) -> int:
-    return int(text)
-
-
 # section -> key -> (parser, default). None defaults mean "unset".
 _SCHEMA: dict[str, dict[str, tuple]] = {
     "source": {
-        "mean_photon_number": (_parse_float, 0.0142),
-        "g2": (_parse_float, 0.036),
-        "rep_rate_mhz": (_parse_float, 160.7),
+        "mean_photon_number": (float, 0.0142),
+        "g2": (float, 0.036),
+        "rep_rate_mhz": (float, 160.7),
     },
     "detector": {
-        "efficiency": (_parse_float, 0.6525),
-        "dark_count_prob": (_parse_float, 1.47e-7),
-        "dead_time_ns": (_parse_float, 27.5),
-        "misalignment": (_parse_float, 0.003),
+        "efficiency": (float, 0.6525),
+        "dark_count_prob": (float, 1.47e-7),
+        "dead_time_ns": (float, 27.5),
+        "misalignment": (float, 0.003),
     },
     "channel": {
-        "loss_per_km_db": (_parse_float, 0.1904),
-        "distance_km": (_parse_float, 100.0),
-        "loss_db": (_parse_float, None),
+        "loss_per_km_db": (float, 0.1904),
+        "distance_km": (float, 100.0),
+        "loss_db": (float, None),
     },
     "protocol": {
-        "p_x": (_parse_float, 0.5),
-        "att": (_parse_float, 1.0),
+        "p_x": (float, 0.5),
+        "att": (float, 1.0),
     },
     "security": {
-        "eps_prime": (_parse_float, 1e-10 / 6.0),
-        "n_pe": (_parse_int, 2),
-        "eps_cor": (_parse_float, 1e-15),
+        "eps_prime": (float, 1e-10 / 6.0),
+        "n_pe": (int, 2),
+        "eps_cor": (float, 1e-15),
     },
     "optimizer": {
-        "p_x_min": (_parse_float, 0.505),
-        "p_x_max": (_parse_float, 0.995),
-        "att_min": (_parse_float, 0.01),
-        "att_max": (_parse_float, 1.0),
-        "grid_resolution": (_parse_int, 32),
-        "refinement_rounds": (_parse_int, 4),
-        "shrink_factor": (_parse_float, 4.0),
-        "loss_bisection_tol_db": (_parse_float, 0.01),
-        "loss_cap_db": (_parse_float, 60.0),
+        "p_x_min": (float, 0.505),
+        "p_x_max": (float, 0.995),
+        "att_min": (float, 0.01),
+        "att_max": (float, 1.0),
+        "grid_resolution": (int, 32),
+        "refinement_rounds": (int, 4),
+        "shrink_factor": (float, 4.0),
+        "loss_bisection_tol_db": (float, 0.01),
+        "loss_cap_db": (float, 60.0),
     },
     "asymptotic": {
         "distances_km": (parse_values, [float(d) for d in range(0, 180, 5)]),
@@ -101,13 +93,13 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "acquisition_times_s": (parse_values, [1.0, 10.0, 60.0, 600.0, 3600.0]),
     },
     "oracle": {
-        "seed": (_parse_int, 20240801),
-        "n_pulses": (_parse_int, 10_000_000),
-        "eps_test": (_parse_float, 0.01),
-        "chernoff_trials": (_parse_int, 100_000),
-        "sampling_trials": (_parse_int, 10_000),
+        "seed": (int, 20240801),
+        "n_pulses": (int, 10_000_000),
+        "eps_test": (float, 0.01),
+        "chernoff_trials": (int, 100_000),
+        "sampling_trials": (int, 10_000),
         "losses_db": (parse_values, [0.0, 10.0, 20.0, 30.0, 35.0]),
-        "selftest_bound_scale": (_parse_float, 1.0),
+        "selftest_bound_scale": (float, 1.0),
     },
 }
 

@@ -153,26 +153,6 @@ class FiniteKeyResult:
     lambda_ec: float
     e_x: float
 
-    def to_dict(self) -> dict:
-        return {
-            "ell": self.ell,
-            "rate": self.rate,
-            "n_sent": self.counts.n_sent,
-            "n_rx_x": self.counts.n_rx_x,
-            "n_rx_z": self.counts.n_rx_z,
-            "m_z": self.counts.m_z,
-            "n_mp_star_x": self.counts.n_mp_star_x,
-            "n_mp_star_z": self.counts.n_mp_star_z,
-            "n_mp_upper_x": self.n_mp_upper_x,
-            "n_mp_upper_z": self.n_mp_upper_z,
-            "n_nmp_x": self.n_nmp_x,
-            "n_nmp_z": self.n_nmp_z,
-            "phi_x": self.phi_x,
-            "phi_x_upper": self.phi_x_upper,
-            "lambda_ec": self.lambda_ec,
-            "e_x": self.e_x,
-        }
-
 
 def expected_counts(src: SourceModel, ch: ChannelModel, det: DetectorModel,
                     protocol: ProtocolParams, n_sent: float) -> SessionCounts:
@@ -260,45 +240,56 @@ def phase_error_upper(counts: SessionCounts, n_nmp_z: float,
     return min(0.5, phi + correction)
 
 
+def _binomial_cdf(m: int, n: int, q: float) -> float:
+    """Binomial(n, q) CDF at 0 <= m <= n.
+
+    scipy's bdtr returns NaN from n = 2**31 on; there it is betainc, which bdtr wraps.
+    """
+    if n < 2**31:
+        return float(_sp.bdtr(float(m), n, q))
+    return float(_sp.betainc(n - m, m + 1, 1.0 - q)) if m < n else 1.0
+
+
 def inverse_binomial_cdf(eps: float, n: int, q: float) -> int:
     """Largest integer m with Binomial(n, q) CDF at m no larger than eps.
 
     Returns -1 when even CDF(0) exceeds eps (no such m). The continuous
     inverse of the regularized incomplete beta function supplies a
-    starting point, which is then adjusted with exact CDF evaluations, so
-    the convention holds for any n the exact CDF accepts: scipy's bdtr
-    takes n as a C long, which limits n to 1 <= n < 2**63.
+    starting point, which is then adjusted with CDF evaluations. n is
+    limited to 1 <= n <= 10**13: the starting point drifts from the answer
+    as n grows (34 steps at 10**12, thousands at 10**14), and each step
+    costs one CDF evaluation.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
-    if not 1 <= n < 2**63:
-        raise ValueError(f"n must satisfy 1 <= n < 2**63, got {n}")
+    if not 1 <= n <= 10**13:
+        raise ValueError(f"n must satisfy 1 <= n <= 10**13, got {n}")
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must be in [0, 1], got {q}")
-    if float(_sp.bdtr(0.0, n, q)) > eps:
+    if _binomial_cdf(0, n, q) > eps:
         return -1
     guess = float(_sp.bdtrik(eps, n, q))
     if math.isfinite(guess):
         m = min(n, max(0, int(guess)))
     else:
         # bdtrik gives up at extreme parameters (e.g. q = 1); bisect on the
-        # exact CDF instead, keeping lo feasible and hi infeasible
+        # CDF instead, keeping lo feasible and hi infeasible
         lo, hi = 0, n
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if float(_sp.bdtr(float(mid), n, q)) <= eps:
+            if _binomial_cdf(mid, n, q) <= eps:
                 lo = mid
             else:
                 hi = mid
         m = lo
-    while m > 0 and float(_sp.bdtr(float(m), n, q)) > eps:
+    while m > 0 and _binomial_cdf(m, n, q) > eps:
         m -= 1
-    while m < n and float(_sp.bdtr(float(m + 1), n, q)) <= eps:
+    while m < n and _binomial_cdf(m + 1, n, q) <= eps:
         m += 1
     return m
 
 
-def lambda_ec(n_x: float, e_x: float, eps_cor: float, f_ec_value: float = 1.16) -> float:
+def lambda_ec(n_x: float, e_x: float, eps_cor: float, f_ec_value: float) -> float:
     """Bits leaked during error correction and verification.
 
     The greater of the finite-block information-theoretic bound
@@ -331,7 +322,7 @@ def lambda_ec(n_x: float, e_x: float, eps_cor: float, f_ec_value: float = 1.16) 
 
 
 def finite_key_length(counts: SessionCounts, sec: SecurityParams,
-                      e_x_for_ec: float, f_ec_value: float = 1.16) -> FiniteKeyResult:
+                      e_x_for_ec: float, f_ec_value: float) -> FiniteKeyResult:
     """Assemble the secure key length from session tallies.
 
     ell = floor( n_nmp_x * (1 - H(phi_upper)) - lambda_ec

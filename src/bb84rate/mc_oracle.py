@@ -48,6 +48,7 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 20
+_CHERNOFF_POPULATION = 10**6
 
 _MIN_TRIALS = {"chernoff_trials": 1000, "sampling_trials": 1}
 
@@ -148,22 +149,21 @@ def sample_session(src: SourceModel, ch: ChannelModel, det: DetectorModel,
 
 
 def chernoff_coverage(x_star: float, eps_test: float, trials: int, *,
-                      seed: int = 0, population: int = 10**6,
-                      bound_scale: float = 1.0) -> float:
+                      seed: int = 0, bound_scale: float = 1.0) -> float:
     """Empirical exceedance of the Chernoff upper bound.
 
-    Samples Binomial(population, x_star/population) counts and returns the
+    Samples Binomial(N, x_star/N) counts with N = 10**6 and returns the
     fraction exceeding chernoff_upper(x_star, eps_test). By construction
     this fraction stays below eps_test up to sampling noise
     (3*sqrt(eps_test/trials) slack). bound_scale deliberately rescales the
     bound and exists for harness self-tests only.
     """
     check_trials("chernoff_trials", trials)
-    if x_star < 0.0 or x_star > population:
-        raise ValueError(f"x_star must be in [0, population], got {x_star}")
+    if x_star < 0.0 or x_star > _CHERNOFF_POPULATION:
+        raise ValueError(f"x_star must be in [0, {_CHERNOFF_POPULATION}], got {x_star}")
     bound = chernoff_upper(x_star, eps_test) * bound_scale
     rng = np.random.default_rng([seed, 0])
-    counts = rng.binomial(population, x_star / population, size=trials)
+    counts = rng.binomial(_CHERNOFF_POPULATION, x_star / _CHERNOFF_POPULATION, size=trials)
     return float(np.mean(counts > bound))
 
 
@@ -204,8 +204,8 @@ def _coverage_limit(eps: float, trials: int) -> float:
 
 
 def run_oracle_suite(src: SourceModel, det: DetectorModel, protocol: ProtocolParams,
-                     trial: TrialConfig, losses_db: tuple[float, ...] = (0.0, 10.0, 20.0, 30.0, 35.0),
-                     *, chernoff_trials: int = 10**5, sampling_trials: int = 10**4,
+                     trial: TrialConfig, losses_db: tuple[float, ...], *,
+                     chernoff_trials: int, sampling_trials: int,
                      bound_scale: float = 1.0) -> dict:
     """Run the model-agreement and bound-coverage checks; return a report.
 

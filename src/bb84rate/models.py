@@ -122,7 +122,7 @@ class DetectorModel:
             raise ValueError(f"det_efficiency must be in (0, 1], got {self.det_efficiency}")
         if not 0.0 <= self.dark_count_prob < 1.0:
             raise ValueError(f"dark_count_prob must be in [0, 1), got {self.dark_count_prob}")
-        if self.dead_time < 0.0:
+        if not self.dead_time >= 0.0:
             raise ValueError(f"dead_time must be >= 0, got {self.dead_time}")
         if not 0.0 <= self.misalignment < 0.5:
             raise ValueError(f"misalignment must be in [0, 0.5), got {self.misalignment}")
@@ -146,10 +146,6 @@ class ProtocolParams:
             raise ValueError(f"p_x must be in (0, 1), got {self.p_x}")
         if not 0.0 < self.att <= 1.0:
             raise ValueError(f"att must be in (0, 1], got {self.att}")
-
-    @property
-    def p_z(self) -> float:
-        return 1.0 - self.p_x
 
     @property
     def sift_ratio(self) -> float:

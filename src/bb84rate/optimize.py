@@ -65,12 +65,13 @@ class OptimizationConfig:
             raise ValueError(f"grid_resolution must be >= 2, got {self.grid_resolution}")
         if self.refinement_rounds < 0:
             raise ValueError(f"refinement_rounds must be >= 0, got {self.refinement_rounds}")
-        if self.shrink_factor <= 1.0:
+        # written so that NaN fails each check
+        if not self.shrink_factor > 1.0:
             raise ValueError(f"shrink_factor must be > 1, got {self.shrink_factor}")
-        if self.loss_bisection_tol_db <= 0.0:
+        if not self.loss_bisection_tol_db > 0.0:
             raise ValueError(f"loss_bisection_tol_db must be > 0, got {self.loss_bisection_tol_db}")
-        if self.loss_cap_db <= 0.0:
-            raise ValueError(f"loss_cap_db must be > 0, got {self.loss_cap_db}")
+        if not 0.0 < self.loss_cap_db < math.inf:
+            raise ValueError(f"loss_cap_db must be finite and > 0, got {self.loss_cap_db}")
 
 
 @dataclass(frozen=True)
@@ -196,16 +197,16 @@ def max_tolerable_loss(
     src: SourceModel, det: DetectorModel,
     cfg: OptimizationConfig | None = None, *,
     mode: str = "finite", sec: SecurityParams | None = None,
-    n_sent: float | None = None, n_received: float | None = None,
-    optimize_params: bool = True, p_x: float = 0.5, att: float = 1.0,
+    n_sent: float | None = None, optimize_params: bool = True,
 ) -> float:
     """Channel loss (dB) at the zero/positive key-rate boundary.
 
     Bisects the loss axis, re-optimizing (p_x, att) at every probe when
-    optimize_params is set, otherwise evaluating at the fixed values. The
-    probe rate is nonincreasing in loss, so on return the rate is positive
-    at boundary - tol and zero at boundary + tol. If the rate is still
-    positive at the configured cap, the cap itself is returned.
+    optimize_params is set, otherwise evaluating standard BB84 (p_x = 1/2,
+    no pre-attenuation). The probe rate is nonincreasing in loss, so on
+    return the rate is positive at boundary - tol and zero at
+    boundary + tol. If the rate is still positive at the configured cap,
+    the cap itself is returned.
 
     Raises:
         NoPositiveRateError: if the rate is zero already at 0 dB.
@@ -213,11 +214,11 @@ def max_tolerable_loss(
     if cfg is None:
         cfg = OptimizationConfig()
 
-    fixed = {} if optimize_params else {"fixed_p_x": p_x, "fixed_att": att}
+    fixed = {} if optimize_params else {"fixed_p_x": 0.5, "fixed_att": 1.0}
 
     def rate_at(loss_db: float) -> float:
         return optimize_point(src, ChannelModel(loss_db=loss_db), det, cfg, mode=mode, sec=sec,
-                              n_sent=n_sent, n_received=n_received, **fixed).rate_per_pulse
+                              n_sent=n_sent, **fixed).rate_per_pulse
 
     if rate_at(0.0) <= 0.0:
         raise NoPositiveRateError("key rate is zero at 0 dB channel loss")
@@ -226,6 +227,8 @@ def max_tolerable_loss(
     lo, hi = 0.0, cfg.loss_cap_db
     while hi - lo > cfg.loss_bisection_tol_db:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # lo and hi are adjacent doubles: finer than any tolerance
+            break
         if rate_at(mid) > 0.0:
             lo = mid
         else:

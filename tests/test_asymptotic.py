@@ -52,10 +52,6 @@ class TestFEc:
     def test_clamps_beyond_table(self):
         assert f_ec(0.4) == 1.35
 
-    def test_custom_table(self):
-        table = ((0.0, 1.0), (0.5, 2.0))
-        assert f_ec(0.25, table) == pytest.approx(1.5)
-
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             f_ec(0.6)

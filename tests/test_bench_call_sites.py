@@ -1,9 +1,11 @@
-"""Guard for the benchmark's traced runs.
+"""Guard for the benchmark's calls into the program.
 
 bench/tracer.py patches each (module, attribute) binding in its CALL_SITES
 table; a refactor that renames or removes one breaks traced runs silently.
 The table is read from the file, not imported, so the guard runs no
-benchmark code.
+benchmark code. The other tests pin the signatures and config fields that
+bench/worker.py and bench/tracer.py use, so a signature purge fails here
+instead of in a benchmark run.
 """
 import ast
 import importlib
@@ -33,3 +35,27 @@ def test_every_call_site_resolves_to_a_callable():
 def test_max_tolerable_loss_accepts_optimize_params():
     from bb84rate.optimize import max_tolerable_loss
     assert "optimize_params" in inspect.signature(max_tolerable_loss).parameters
+
+
+def test_worker_calls_bind():
+    from bb84rate.config import load_config
+    from bb84rate.optimize import max_tolerable_loss
+    cfg = load_config(None)
+    signature = inspect.signature(max_tolerable_loss)
+    signature.bind(cfg.source, cfg.detector, cfg.optimizer, mode="asymptotic")
+    signature.bind(cfg.source, cfg.detector, cfg.optimizer, mode="asymptotic",
+                   optimize_params=False)
+
+
+def test_worker_config_fields_exist():
+    from bb84rate.config import load_config
+    cfg = load_config(None)
+    assert isinstance(cfg.oracle["seed"], int)
+    assert cfg.finite_block_sizes is None
+    assert cfg.maxloss_times_s and cfg.asymptotic_distances_km
+    assert cfg.optimizer.loss_cap_db > 0.0
+
+
+def test_tracer_finds_lambda_ec_f_ec_value():
+    from bb84rate.finitekey import lambda_ec
+    assert "f_ec_value" in inspect.signature(lambda_ec).parameters

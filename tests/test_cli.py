@@ -1,10 +1,13 @@
+import inspect
 import json
 import time
 
 import pytest
 
-from bb84rate import ChannelModel, DetectorModel, SourceModel, click_error_probs
+from bb84rate import (ChannelModel, DetectorModel, OptimizationConfig, ProtocolParams,
+                      SecurityParams, SourceModel, TrialConfig, click_error_probs)
 from bb84rate.cli import main, read_result_csv
+from bb84rate.config import load_config
 
 FAST_OPT = """
 [optimizer]
@@ -149,6 +152,19 @@ class TestMaxlossCommand:
         assert rows[0][header.index("status")] == "no_key_at_any_loss"
         assert rows[0][header.index("max_loss_db")] == "nan"
 
+    def test_time_the_models_reject_is_an_error_row(self, tmp_path):
+        # 1e16 s of pulses exceeds the block sizes lambda_ec accepts; the
+        # other time still gets its boundary
+        cfg = write(tmp_path / "run.ini",
+                    "[optimizer]\ngrid_resolution = 6\nrefinement_rounds = 1\n"
+                    "loss_bisection_tol_db = 0.5\n[maxloss]\nacquisition_times_s = 1,1e16\n")
+        out = tmp_path / "ml.csv"
+        assert main(["maxloss", "--config", cfg, "--out", str(out)]) == 0
+        _, header, rows = read_result_csv(str(out))
+        status = [row[header.index("status")] for row in rows]
+        assert status[0] == "ok" and status[1].startswith("error: ")
+        assert rows[1][header.index("max_loss_db")] == "nan"
+
 
 class TestFitQberCommand:
     def synth_csv(self, tmp_path, p_mis=0.003, blank=False):
@@ -265,9 +281,15 @@ class TestConfigHandling:
         ("maxloss", "[maxloss]\nacquisition_times_s = 1,nan\n"),
         ("maxloss", "[maxloss]\nacquisition_times_s = inf\n"),
         ("oracle --seed -1", ""),
+        ("maxloss", "[optimizer]\nloss_bisection_tol_db = nan\n"),
+        ("maxloss", "[optimizer]\nshrink_factor = nan\n"),
+        ("maxloss", "[optimizer]\nloss_cap_db = nan\n"),
+        ("maxloss", "[optimizer]\nloss_cap_db = inf\n"),
+        ("maxloss", "[detector]\ndead_time_ns = nan\n"),
     ], ids=["efficiency", "distance", "loss_per_km_asymptotic", "loss_per_km_fit_qber",
             "loss_per_km_with_loss_db", "maxloss_time_negative", "maxloss_time_nan",
-            "maxloss_time_inf", "seed_flag"])
+            "maxloss_time_inf", "seed_flag", "bisection_tol_nan", "shrink_factor_nan",
+            "loss_cap_nan", "loss_cap_inf", "dead_time_nan"])
     def test_out_of_range_value_rejected(self, tmp_path, monkeypatch, capsys, argv, text):
         monkeypatch.chdir(tmp_path)
         write(tmp_path / "qber.csv", "distance_km,qber\n0,0.004\n")
@@ -299,6 +321,17 @@ class TestConfigHandling:
         assert main(["oracle", "--config", cfg, "--out", "-"]) == 1
         assert time.perf_counter() - start < 0.1
         assert "config error" in capsys.readouterr().err
+
+    def test_dataclass_defaults_match_schema(self):
+        # defaults written both in a dataclass and in config._SCHEMA agree
+        cfg = load_config(None)
+        assert cfg.optimizer == OptimizationConfig()
+        assert cfg.security == SecurityParams()
+        assert cfg.protocol == ProtocolParams()
+        fiber = inspect.signature(ChannelModel.from_fiber).parameters["loss_per_km_db"]
+        assert fiber.default == cfg.loss_per_km_db
+        assert inspect.signature(TrialConfig).parameters["eps_test"].default \
+            == cfg.oracle["eps_test"]
 
     def test_round_trip_echo_contains_all_defaults(self, tmp_path):
         cfg = write(tmp_path / "run.ini", FAST_OPT + "[asymptotic]\ndistances_km = 0\n")

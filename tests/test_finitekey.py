@@ -1,12 +1,13 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
 from bb84rate import (ChannelModel, ProtocolParams, SecurityParams, SessionCounts,
-                      asymptotic_rate, chernoff_upper, click_error_probs, expected_counts,
+                      asymptotic_rate, chernoff_upper, click_error_probs, expected_counts, f_ec,
                       finite_key_length, gamma_u, inverse_binomial_cdf, lambda_ec,
                       phase_error_upper)
 
@@ -97,7 +98,7 @@ class TestExpectedCounts:
 class TestNonMultiphotonLower:
     @staticmethod
     def lower(counts, security):
-        res = finite_key_length(counts, security, e_x_for_ec=0.01)
+        res = finite_key_length(counts, security, 0.01, f_ec(0.01))
         return res.n_nmp_x, res.n_nmp_z
 
     def test_perfect_source(self, security):
@@ -210,40 +211,57 @@ class TestInverseBinomialCdf:
         assert m == FINV_1E6
 
     def test_n_limited_to_c_long(self):
-        # scipy's bdtr takes n as a C long: the largest one still works and
-        # the first one past it is a ValueError that names the limit
-        assert 0 < inverse_binomial_cdf(1e-15, 2**63 - 1, 0.98) < 2**63 - 1
-        with pytest.raises(ValueError, match=r"2\*\*63"):
-            inverse_binomial_cdf(1e-15, 2**63, 0.98)
-        with pytest.raises(ValueError, match=r"2\*\*63"):
-            lambda_ec(1e20, 0.02, 1e-15)
+        # scipy's bdtr returns NaN from n = 2**31 on, but the bdtrik starting
+        # point must still be checked: here it is one step too high
+        n, q, eps = 2_356_904_332, 0.9763, 1e-15
+        m = inverse_binomial_cdf(eps, n, q)
+        # exact CDF at m and m + 1: tail sum downward from m at 40 digits
+        with mpmath.workdps(40):
+            q_mp = mpmath.mpf(q)
+            term = mpmath.exp(mpmath.loggamma(n + 1) - mpmath.loggamma(m + 1)
+                              - mpmath.loggamma(n - m + 1)
+                              + m * mpmath.log(q_mp) + (n - m) * mpmath.log(1 - q_mp))
+            next_term = term * (n - m) * q_mp / ((m + 1) * (1 - q_mp))
+            cdf, j = term, m
+            while term > cdf * mpmath.mpf(10) ** -35:
+                term *= j * (1 - q_mp) / ((n - j + 1) * q_mp)
+                cdf += term
+                j -= 1
+        assert cdf <= eps < cdf + next_term
+        assert m == 2_300_987_043
+        # the limit is 10**13, named in the error
+        assert 0 < inverse_binomial_cdf(eps, 10**13, 0.98) < 10**13
+        with pytest.raises(ValueError, match=r"10\*\*13"):
+            inverse_binomial_cdf(eps, 10**13 + 1, 0.98)
+        with pytest.raises(ValueError, match=r"10\*\*13"):
+            lambda_ec(1e14, 0.02, 1e-15, f_ec(0.02))
 
 
 class TestLambdaEc:
     def test_zero_error_rate_leaks_nothing(self):
-        assert lambda_ec(1e6, 0.0, 1e-15) == 0.0
+        assert lambda_ec(1e6, 0.0, 1e-15, f_ec(0.0)) == 0.0
 
     def test_frozen_branches(self):
-        # with the info branch forced (tiny f_EC) and the default 1.16
+        # with the info branch forced (tiny f_EC) and the practical 1.16
         info = lambda_ec(1e6, 0.02, 1e-15, f_ec_value=1e-9)
         assert info == pytest.approx(LEC_INFO_1E6, rel=1e-12)
-        assert lambda_ec(1e6, 0.02, 1e-15) == pytest.approx(LEC_PRAC_1E6, rel=1e-12)
+        assert lambda_ec(1e6, 0.02, 1e-15, 1.16) == pytest.approx(LEC_PRAC_1E6, rel=1e-12)
 
     def test_info_branch_wins_for_small_blocks(self):
         # constants and the sqrt(n) term dominate 0.16*n*H(e) at small n
-        assert lambda_ec(1500.0, 0.007, 1e-15) > 1.16 * 1500.0 * 0.0593
+        assert lambda_ec(1500.0, 0.007, 1e-15, 1.16) > 1.16 * 1500.0 * 0.0593
 
     def test_rejects_large_error_rate(self):
         with pytest.raises(ValueError):
-            lambda_ec(1e6, 0.5, 1e-15)
+            lambda_ec(1e6, 0.5, 1e-15, f_ec(0.5))
         with pytest.raises(ValueError):
-            lambda_ec(0.0, 0.02, 1e-15)
+            lambda_ec(0.0, 0.02, 1e-15, f_ec(0.02))
 
 
 class TestFiniteKeyLength:
     def test_zero_pulses(self, security):
         counts = SessionCounts(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        res = finite_key_length(counts, security, 0.01)
+        res = finite_key_length(counts, security, 0.01, f_ec(0.01))
         assert res.ell == 0 and res.rate == 0.0
 
     def test_penalty_constant(self, security):
@@ -256,7 +274,7 @@ class TestFiniteKeyLength:
         counts = expected_counts(source, ch, detector,
                                  ProtocolParams(p_x=0.9), source.rep_rate * 60.0)
         p_c, p_e = click_error_probs(source, ch, detector)
-        res = finite_key_length(counts, security, p_e / p_c)
+        res = finite_key_length(counts, security, p_e / p_c, f_ec(p_e / p_c))
         assert res.n_mp_upper_x >= counts.n_mp_star_x
         assert res.n_mp_upper_z >= counts.n_mp_star_z
         assert res.n_nmp_x <= counts.n_rx_x
@@ -272,7 +290,7 @@ class TestFiniteKeyLength:
         for n_sent in (1e8, 1e9, 1e10, 1e11):
             counts = expected_counts(source, ch, detector,
                                      ProtocolParams(p_x=0.9), n_sent)
-            res = finite_key_length(counts, security, p_e / p_c)
+            res = finite_key_length(counts, security, p_e / p_c, f_ec(p_e / p_c))
             assert res.ell >= previous
             previous = res.ell
 
@@ -284,13 +302,13 @@ class TestFiniteKeyLength:
             p_c, p_e = click_error_probs(source, ch, detector)
             counts = expected_counts(source, ch, detector,
                                      ProtocolParams(p_x=p_x), 1e10)
-            res = finite_key_length(counts, security, p_e / p_c)
+            res = finite_key_length(counts, security, p_e / p_c, f_ec(p_e / p_c))
             asym = asymptotic_rate(source, ch, detector, ProtocolParams(p_x=p_x))
             assert res.rate <= asym.rate_per_pulse + 1e-15
 
     def test_multiphoton_exhaustion_gives_zero(self, security):
         counts = SessionCounts(1e6, 100.0, 100.0, 1.0, 500.0, 500.0)
-        res = finite_key_length(counts, security, 0.01)
+        res = finite_key_length(counts, security, 0.01, f_ec(0.01))
         assert res.ell == 0
         assert res.n_nmp_x == 0.0
 
@@ -306,7 +324,7 @@ class TestFiniteKeyLength:
         protocol = ProtocolParams(p_x=p_x, att=att)
         counts = expected_counts(source, ch, detector, protocol, 10.0**log_n_sent)
         p_c, p_e = click_error_probs(source, ch, detector, att)
-        res = finite_key_length(counts, security, p_e / p_c)
+        res = finite_key_length(counts, security, p_e / p_c, f_ec(p_e / p_c))
         assert res.ell >= 0
         assert res.ell <= counts.n_rx_x
         assert 0.0 <= res.rate <= 1.0

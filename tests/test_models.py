@@ -83,7 +83,6 @@ class TestProtocolParams:
         assert ProtocolParams(p_x=0.5).sift_ratio == 0.5
         p = ProtocolParams(p_x=0.9)
         assert p.sift_ratio == pytest.approx(0.81 + 0.01)
-        assert p.p_z == pytest.approx(0.1)
 
 
 class TestRawClickProb:

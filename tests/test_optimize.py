@@ -2,9 +2,10 @@ import math
 
 import pytest
 
+from bb84rate import optimize
 from bb84rate import (ChannelModel, DetectorModel, NoPositiveRateError, OptimizationConfig,
                       ProtocolParams, SourceModel, asymptotic_rate,
-                      finite_key_length, expected_counts, click_error_probs,
+                      finite_key_length, expected_counts, click_error_probs, f_ec,
                       max_tolerable_loss, optimize_point, run_sweep)
 
 
@@ -59,7 +60,7 @@ class TestOptimizePoint:
         p_c, p_e = click_error_probs(source, ch, detector, 1.0)
         counts = expected_counts(source, ch, detector, ProtocolParams(p_x=0.5), n_sent)
         from bb84rate import SecurityParams
-        default = finite_key_length(counts, SecurityParams(), p_e / p_c)
+        default = finite_key_length(counts, SecurityParams(), p_e / p_c, f_ec(p_e / p_c))
         assert point.rate_per_pulse >= default.rate
 
     def test_fixed_axes(self, source, detector, fast_opt):
@@ -121,8 +122,7 @@ class TestMaxTolerableLoss:
         src = SourceModel(0.0142, 0.0, 160.7e6)
         det = DetectorModel(0.6525, 0.0, 0.0, 0.003)
         cfg = OptimizationConfig(grid_resolution=6, refinement_rounds=0, loss_cap_db=40.0)
-        boundary = max_tolerable_loss(src, det, cfg, mode="asymptotic",
-                                      optimize_params=False, p_x=0.5, att=1.0)
+        boundary = max_tolerable_loss(src, det, cfg, mode="asymptotic", optimize_params=False)
         assert boundary == 40.0
 
     def test_zero_rate_at_zero_loss_raises(self, source):
@@ -130,7 +130,7 @@ class TestMaxTolerableLoss:
         with pytest.raises(NoPositiveRateError):
             max_tolerable_loss(source, deaf, OptimizationConfig(grid_resolution=6,
                                                                 refinement_rounds=0),
-                               mode="asymptotic", optimize_params=False, p_x=0.5, att=1.0)
+                               mode="asymptotic", optimize_params=False)
 
     def test_nondecreasing_in_acquisition_time(self, source, detector):
         cfg = OptimizationConfig(grid_resolution=8, refinement_rounds=1,
@@ -141,6 +141,29 @@ class TestMaxTolerableLoss:
                                   n_sent=160.7e6 * 60.0)
         assert long >= short - 2 * cfg.loss_bisection_tol_db
         assert long > short
+
+    def test_tolerance_below_double_spacing_terminates(self, source, detector, monkeypatch):
+        # once lo and hi are adjacent doubles the midpoint equals one of them;
+        # the search must stop there instead of probing forever
+        probes = 0
+        original = optimize.optimize_point
+
+        def counted(*args, **kwargs):
+            nonlocal probes
+            probes += 1
+            if probes > 200:
+                raise AssertionError("loss bisection does not terminate")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(optimize, "optimize_point", counted)
+        tiny = dict(grid_resolution=6, refinement_rounds=1)
+        exact = max_tolerable_loss(source, detector,
+                                   OptimizationConfig(**tiny, loss_bisection_tol_db=1e-300),
+                                   mode="asymptotic")
+        coarse = max_tolerable_loss(source, detector,
+                                    OptimizationConfig(**tiny, loss_bisection_tol_db=0.01),
+                                    mode="asymptotic")
+        assert abs(exact - coarse) <= 0.01
 
 
 class TestRunSweep:

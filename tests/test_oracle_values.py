@@ -110,7 +110,7 @@ class TestLeakageConstants:
         prac = mpf("1.16") * nx * h
         assert close(LEC_INFO_1E6, info, rel=1e-16)
         assert close(LEC_PRAC_1E6, prac, rel=1e-16)
-        assert lambda_ec_impl(1e6, 0.02, 1e-15) == pytest.approx(float(prac), rel=1e-12)
+        assert lambda_ec_impl(1e6, 0.02, 1e-15, 1.16) == pytest.approx(float(prac), rel=1e-12)
 
     def test_penalty_constant(self):
         pen = 2 * log(1 / (2 * mpf("1e-10") / 6)) / LN2 + log(2 / mpf("1e-15")) / LN2
