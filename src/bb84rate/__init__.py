@@ -5,7 +5,7 @@ statistics, plus numerical optimization of the basis bias and source
 pre-attenuation over distance, block size and acquisition time.
 """
 from .asymptotic import (AsymptoticResult, QberMeasurement, asymptotic_rate, f_ec,
-                         fit_misalignment, gllp_bracket)
+                         fit_misalignment)
 from .entropy import binary_entropy
 from .finitekey import (FiniteKeyResult, SecurityParams, SessionCounts, chernoff_upper,
                         expected_counts, finite_key_length, gamma_u, inverse_binomial_cdf,
@@ -45,7 +45,6 @@ __all__ = [
     "finite_key_length",
     "fit_misalignment",
     "gamma_u",
-    "gllp_bracket",
     "inverse_binomial_cdf",
     "lambda_ec",
     "max_tolerable_loss",

@@ -19,7 +19,6 @@ __all__ = [
     "QberMeasurement",
     "f_ec",
     "fit_misalignment",
-    "gllp_bracket",
     "asymptotic_rate",
 ]
 
@@ -128,21 +127,6 @@ def fit_misalignment(data: Sequence[QberMeasurement], src: SourceModel, det: Det
     return p_mis, [a + (1.0 - 2.0 * a) * p_mis for a in offsets]
 
 
-def gllp_bracket(single_photon_fraction: float, e_x: float, e_z: float,
-                 f_ec_value: float) -> float:
-    """Secret fraction per sifted click: A*(1 - H(e_x/A)) - f_EC*H(e_z).
-
-    The privacy-amplification entropy argument e_x/A is clamped to
-    [0, 1/2]; outside that range the formula has no operational meaning
-    and the bracket is already non-positive.
-    """
-    if single_photon_fraction <= 0.0:
-        return -f_ec_value * binary_entropy(e_z)
-    amplified = min(e_x / single_photon_fraction, 0.5)
-    return (single_photon_fraction * (1.0 - binary_entropy(amplified))
-            - f_ec_value * binary_entropy(e_z))
-
-
 def asymptotic_rate(src: SourceModel, ch: ChannelModel, det: DetectorModel,
                     protocol: ProtocolParams) -> AsymptoticResult:
     """Asymptotic secure key rate at the given operating point.
@@ -161,7 +145,8 @@ def asymptotic_rate(src: SourceModel, ch: ChannelModel, det: DetectorModel,
     if p_c <= p_m_eff:
         return AsymptoticResult(0.0, 0.0, 0.0, e, p_c)
     a = (p_c - p_m_eff) / p_c
-    bracket = gllp_bracket(a, e, e, f_ec(e))
+    # e/A is clamped to 1/2, past which the bracket is already non-positive
+    bracket = a * (1.0 - binary_entropy(min(e / a, 0.5))) - f_ec(e) * binary_entropy(e)
     per_pulse = max(0.0, protocol.sift_ratio * p_c * bracket)
     return AsymptoticResult(
         rate_per_pulse=per_pulse,

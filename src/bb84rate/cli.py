@@ -221,8 +221,11 @@ def _read_qber_csv(path: str) -> list[QberMeasurement]:
 
 def _cmd_fit_qber(cfg: RunConfig, data_path: str, out: str) -> int:
     data = _read_qber_csv(data_path)
-    p_mis, modeled = fit_misalignment(data, cfg.source, cfg.detector, cfg.loss_per_km_db,
-                                      cfg.protocol.att)
+    try:  # a fit the data and config leave undefined is an input error
+        p_mis, modeled = fit_misalignment(data, cfg.source, cfg.detector, cfg.loss_per_km_db,
+                                          cfg.protocol.att)
+    except ValueError as exc:
+        raise ConfigError(f"{data_path}: {exc}") from exc
     points = [{
         "distance_km": m.distance_km,
         "qber_measured": m.qber,

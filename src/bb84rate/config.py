@@ -24,7 +24,7 @@ class ConfigError(ValueError):
 
 
 def parse_values(text: str) -> list[float]:
-    """Parse '1,10,60' lists or inclusive 'start:stop:step' ranges."""
+    """Parse '1,10,60' lists or inclusive 'start:stop:step' ranges of <= 100,000 values."""
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
@@ -36,6 +36,8 @@ def parse_values(text: str) -> list[float]:
         out = []
         v = start
         while v <= stop + 1e-9:
+            if len(out) == 100_000:  # a step too small to move v (1e20:1e21:1) never ends
+                raise ConfigError("a range may give at most 100000 values")
             out.append(round(v, 12))
             v += step
         return out

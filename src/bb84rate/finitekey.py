@@ -40,7 +40,8 @@ class SecurityParams:
     privacy amplification and error correction each get eps_prime, and
     parameter estimation gets 2 * n_pe * eps_prime for its n_pe
     constraints. The secrecy parameter is their sum, so for n_pe = 2 it
-    equals 6 * eps_prime. Correctness is budgeted separately.
+    equals 6 * eps_prime; the bounds spend 10 * eps_prime until ROADMAP
+    item 4 fixes the split. Correctness is budgeted separately.
 
     Defaults: eps_prime = 1e-10/6 (secrecy 1e-10, parameter estimation
     2e-10/3, privacy amplification 1e-10/6) and eps_cor = 1e-15.
@@ -266,14 +267,12 @@ def inverse_binomial_cdf(eps: float, n: int, q: float) -> int:
         raise ValueError(f"n must satisfy 1 <= n <= 10**13, got {n}")
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must be in [0, 1], got {q}")
-    if _binomial_cdf(0, n, q) > eps:
-        return -1
     guess = float(_sp.bdtrik(eps, n, q))
     if math.isfinite(guess):
         m = min(n, max(0, int(guess)))
     else:
         # bdtrik gives up at extreme parameters (e.g. q = 1); bisect on the
-        # CDF instead, keeping lo feasible and hi infeasible
+        # CDF instead, keeping hi infeasible and lo feasible unless no m is
         lo, hi = 0, n
         while hi - lo > 1:
             mid = (lo + hi) // 2
@@ -282,7 +281,7 @@ def inverse_binomial_cdf(eps: float, n: int, q: float) -> int:
             else:
                 hi = mid
         m = lo
-    while m > 0 and _binomial_cdf(m, n, q) > eps:
+    while m >= 0 and _binomial_cdf(m, n, q) > eps:
         m -= 1
     while m < n and _binomial_cdf(m + 1, n, q) <= eps:
         m += 1
@@ -312,8 +311,7 @@ def lambda_ec(n_x: float, e_x: float, eps_cor: float, f_ec_value: float) -> floa
         return 0.0
     h = binary_entropy(e_x)
     practical = f_ec_value * n_x * h
-    n_int = max(1, round(n_x))
-    f_inv = inverse_binomial_cdf(eps_cor, n_int, 1.0 - e_x)
+    f_inv = inverse_binomial_cdf(eps_cor, round(n_x), 1.0 - e_x)
     info = (n_x * h
             + (n_x * (1.0 - e_x) - f_inv) * math.log2((1.0 - e_x) / e_x)
             - 0.5 * math.log2(n_x)
@@ -338,28 +336,17 @@ def finite_key_length(counts: SessionCounts, sec: SecurityParams,
     n_nmp_x = max(0.0, counts.n_rx_x - mp_upper_x)
     n_nmp_z = max(0.0, counts.n_rx_z - mp_upper_z)
 
-    def _zero(phi: float, phi_upper: float, leak: float) -> FiniteKeyResult:
-        return FiniteKeyResult(
-            ell=0, rate=0.0, counts=counts,
-            n_mp_upper_x=mp_upper_x, n_mp_upper_z=mp_upper_z,
-            n_nmp_x=n_nmp_x, n_nmp_z=n_nmp_z,
-            phi_x=phi, phi_x_upper=phi_upper, lambda_ec=leak, e_x=e_x_for_ec,
-        )
-
-    if n_nmp_x <= 0.0 or n_nmp_z <= 0.0 or counts.n_rx_x < 1.0:
-        return _zero(0.5, 0.5, 0.0)
-
-    phi = counts.m_z / n_nmp_z
-    phi_upper = phase_error_upper(counts, n_nmp_z, sec)
-    if phi_upper >= 0.5:
-        return _zero(phi, phi_upper, 0.0)
-
-    leak = lambda_ec(counts.n_rx_x, e_x_for_ec, sec.eps_cor, f_ec_value)
-    raw = (n_nmp_x * (1.0 - binary_entropy(phi_upper))
-           - leak
-           - 2.0 * math.log2(1.0 / (2.0 * sec.eps_pa))
-           - math.log2(2.0 / sec.eps_cor))
-    ell = max(0, math.floor(raw))
+    ell, phi, phi_upper, leak = 0, 0.5, 0.5, 0.0
+    if n_nmp_x > 0.0 and n_nmp_z > 0.0 and counts.n_rx_x >= 1.0:
+        phi = counts.m_z / n_nmp_z
+        phi_upper = phase_error_upper(counts, n_nmp_z, sec)
+        if phi_upper < 0.5:
+            leak = lambda_ec(counts.n_rx_x, e_x_for_ec, sec.eps_cor, f_ec_value)
+            raw = (n_nmp_x * (1.0 - binary_entropy(phi_upper))
+                   - leak
+                   - 2.0 * math.log2(1.0 / (2.0 * sec.eps_pa))
+                   - math.log2(2.0 / sec.eps_cor))
+            ell = max(0, math.floor(raw))
     rate = ell / counts.n_sent if counts.n_sent > 0 else 0.0
     return FiniteKeyResult(
         ell=ell, rate=rate, counts=counts,

@@ -30,7 +30,7 @@ class SourceModel:
         mean_photon_number: mean photons per pulse injected into the link,
             in [0, 1).
         g2: second-order intensity correlation at zero delay, in [0, 1].
-        rep_rate: pulse repetition rate in Hz, > 0.
+        rep_rate: pulse repetition rate in Hz, finite and > 0.
     """
 
     mean_photon_number: float
@@ -42,8 +42,8 @@ class SourceModel:
             raise ValueError(f"mean_photon_number must be in [0, 1), got {self.mean_photon_number}")
         if not 0.0 <= self.g2 <= 1.0:
             raise ValueError(f"g2 must be in [0, 1], got {self.g2}")
-        if not self.rep_rate > 0.0:
-            raise ValueError(f"rep_rate must be positive, got {self.rep_rate}")
+        if not 0.0 < self.rep_rate < math.inf:
+            raise ValueError(f"rep_rate must be finite and positive, got {self.rep_rate}")
         if self.photon_probs[1] < 0.0:
             raise ValueError("two-photon weight exceeds the mean photon number "
                              f"(<n>={self.mean_photon_number}, g2={self.g2})")
@@ -107,7 +107,7 @@ class DetectorModel:
             transmission, in (0, 1].
         dark_count_prob: dark count probability per pulse per basis,
             in [0, 1).
-        dead_time: detector dead time in seconds, >= 0.
+        dead_time: detector dead time in seconds, finite and >= 0.
         misalignment: probability that a detected signal photon lands in
             the wrong detector, in [0, 0.5).
     """
@@ -122,8 +122,8 @@ class DetectorModel:
             raise ValueError(f"det_efficiency must be in (0, 1], got {self.det_efficiency}")
         if not 0.0 <= self.dark_count_prob < 1.0:
             raise ValueError(f"dark_count_prob must be in [0, 1), got {self.dark_count_prob}")
-        if not self.dead_time >= 0.0:
-            raise ValueError(f"dead_time must be >= 0, got {self.dead_time}")
+        if not 0.0 <= self.dead_time < math.inf:
+            raise ValueError(f"dead_time must be finite and >= 0, got {self.dead_time}")
         if not 0.0 <= self.misalignment < 0.5:
             raise ValueError(f"misalignment must be in [0, 0.5), got {self.misalignment}")
 

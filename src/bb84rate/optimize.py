@@ -94,7 +94,7 @@ def _linspace(lo: float, hi: float, k: int) -> list[float]:
 
 def _make_evaluator(
     src: SourceModel, ch: ChannelModel, det: DetectorModel, mode: str,
-    sec: SecurityParams | None, n_sent: float | None, n_received: float | None,
+    sec: SecurityParams, n_sent: float | None, n_received: float | None,
 ) -> Callable[[list[float], list[float]], list[tuple[float, float, float, object]]]:
     """Build a batch evaluator returning (rate, p_x, att, result) tuples.
 
@@ -102,17 +102,20 @@ def _make_evaluator(
     are computed once per att column.
     """
     if mode == "asymptotic":
+        # At fixed att the rate is sift_ratio(p_x) times a factor free of p_x,
+        # and sift_ratio increases on (1/2, 1), where OptimizationConfig keeps
+        # p_x: under the (rate, p_x, att) tie-break a column's largest p_x wins
+        # or ties (zero rate). Exact while adjacent grid p_x values are more
+        # than about 1e-12 apart: at the default grid_resolution and
+        # shrink_factor, up to 11 refinement rounds (default 4).
         def evaluate(p_xs: list[float], atts: list[float]):
+            p_x = p_xs[-1]
             out = []
             for att in atts:
-                for p_x in p_xs:
-                    res = asymptotic_rate(src, ch, det, ProtocolParams(p_x=p_x, att=att))
-                    out.append((res.rate_per_pulse, p_x, att, res))
+                res = asymptotic_rate(src, ch, det, ProtocolParams(p_x=p_x, att=att))
+                out.append((res.rate_per_pulse, p_x, att, res))
             return out
         return evaluate
-
-    if sec is None:
-        sec = SecurityParams()
 
     def evaluate(p_xs: list[float], atts: list[float]):
         out = []
@@ -136,8 +139,8 @@ def _make_evaluator(
 
 def optimize_point(
     src: SourceModel, ch: ChannelModel, det: DetectorModel,
-    cfg: OptimizationConfig | None = None, *,
-    mode: str = "finite", sec: SecurityParams | None = None,
+    cfg: OptimizationConfig = OptimizationConfig(), *,
+    mode: str = "finite", sec: SecurityParams = SecurityParams(),
     n_sent: float | None = None, n_received: float | None = None,
     fixed_p_x: float | None = None, fixed_att: float | None = None,
 ) -> OptimizedPoint:
@@ -151,8 +154,6 @@ def optimize_point(
     An all-zero-rate grid returns rate 0 at the tie-break point (the top
     of the searched ranges).
     """
-    if cfg is None:
-        cfg = OptimizationConfig()
     if mode not in ("asymptotic", "finite"):
         raise ValueError(f"mode must be 'asymptotic' or 'finite', got {mode!r}")
     if mode == "finite":
@@ -195,8 +196,8 @@ def optimize_point(
 
 def max_tolerable_loss(
     src: SourceModel, det: DetectorModel,
-    cfg: OptimizationConfig | None = None, *,
-    mode: str = "finite", sec: SecurityParams | None = None,
+    cfg: OptimizationConfig = OptimizationConfig(), *,
+    mode: str = "finite", sec: SecurityParams = SecurityParams(),
     n_sent: float | None = None, optimize_params: bool = True,
 ) -> float:
     """Channel loss (dB) at the zero/positive key-rate boundary.
@@ -211,9 +212,6 @@ def max_tolerable_loss(
     Raises:
         NoPositiveRateError: if the rate is zero already at 0 dB.
     """
-    if cfg is None:
-        cfg = OptimizationConfig()
-
     fixed = {} if optimize_params else {"fixed_p_x": 0.5, "fixed_att": 1.0}
 
     def rate_at(loss_db: float) -> float:

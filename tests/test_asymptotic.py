@@ -2,10 +2,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bb84rate import (ChannelModel, DetectorModel, ProtocolParams, QberMeasurement,
-                      SourceModel, asymptotic_rate, click_error_probs, f_ec, fit_misalignment,
-                      gllp_bracket)
+                      SourceModel, asymptotic_rate, click_error_probs, f_ec, fit_misalignment)
 
 
 def qber(src, ch, det, att=1.0):
@@ -114,8 +115,35 @@ class TestAsymptoticRate:
         assert res.rate_per_pulse == 0.0
 
     def test_bracket_zero_at_half_error(self):
-        assert gllp_bracket(0.9, 0.1, 0.5, 1.16) < 0.0
-        assert gllp_bracket(1.0, 0.0, 0.0, 1.16) == pytest.approx(1.0)
+        # dark-count dominated: e -> 1/2 drives the bracket negative, clamped to 0
+        dark = asymptotic_rate(SourceModel(1e-12, 0.5, 1e8), ChannelModel(30.0),
+                               DetectorModel(0.6525, 1e-5, 0.0, 0.003), ProtocolParams(p_x=0.7))
+        assert 0.0 < dark.single_photon_fraction and dark.rate_per_pulse == 0.0
+        # ideal point: A = 1 and e = 0, so the bracket is exactly 1
+        protocol = ProtocolParams(p_x=0.7, att=0.6)
+        ideal = asymptotic_rate(SourceModel(0.0142, 0.0, 160.7e6), ChannelModel(10.0),
+                                DetectorModel(0.6525, 0.0, 27.5e-9, 0.0), protocol)
+        assert ideal.e_z == 0.0 and ideal.single_photon_fraction == 1.0
+        assert ideal.rate_per_pulse == protocol.sift_ratio * ideal.p_click
+
+    @settings(max_examples=300, deadline=None)
+    @given(mu=st.floats(0.0, 0.5), g2=st.floats(0.0, 1.0), eff=st.floats(0.01, 1.0),
+           dark=st.floats(0.0, 1e-3), dead_time=st.floats(0.0, 1e-6),
+           mis=st.floats(0.0, 0.49), loss=st.floats(0.0, 60.0), att=st.floats(1e-3, 1.0),
+           p_x=st.floats(0.5, 1.0, exclude_min=True, exclude_max=True),
+           gap=st.floats(1e-9, 0.5))
+    def test_rate_nondecreasing_in_p_x(self, mu, g2, eff, dark, dead_time, mis, loss, att,
+                                       p_x, gap):
+        # the asymptotic optimizer evaluates only the largest p_x of each att column
+        assume(p_x + gap < 1.0)
+        src = SourceModel(mu, g2, 160.7e6)
+        det = DetectorModel(eff, dark, dead_time, mis)
+
+        def rate(p):
+            return asymptotic_rate(src, ChannelModel(loss), det,
+                                   ProtocolParams(p_x=p, att=att)).rate_per_pulse
+
+        assert rate(p_x) <= rate(p_x + gap)
 
     def test_single_photon_fraction_range(self, source, detector):
         for loss in (0.0, 10.0, 20.0, 30.0):

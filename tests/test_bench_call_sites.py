@@ -5,14 +5,18 @@ table; a refactor that renames or removes one breaks traced runs silently.
 The table is read from the file, not imported, so the guard runs no
 benchmark code. The other tests pin the signatures and config fields that
 bench/worker.py and bench/tracer.py use, so a signature purge fails here
-instead of in a benchmark run.
+instead of in a benchmark run, and the call counts that bench/baseline.json
+freezes for the default finite and asymptotic commands.
 """
 import ast
+import collections
 import importlib
 import inspect
+import json
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+BASELINE = TRACER.parent / "baseline.json"
 
 
 def call_sites():
@@ -59,3 +63,26 @@ def test_worker_config_fields_exist():
 def test_tracer_finds_lambda_ec_f_ec_value():
     from bb84rate.finitekey import lambda_ec
     assert "f_ec_value" in inspect.signature(lambda_ec).parameters
+
+
+def test_default_commands_keep_the_reference_counts(tmp_path, monkeypatch):
+    import scipy.special
+
+    from bb84rate import cli, optimize
+    reference = json.loads(BASELINE.read_text(encoding="utf-8"))["reference_counts"]
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(scipy.special, "bdtrik", counted("bdtrik", scipy.special.bdtrik))
+    monkeypatch.setattr(optimize, "asymptotic_rate",
+                        counted("asymptotic_rate", optimize.asymptotic_rate))
+    for command in ("finite", "asymptotic"):
+        assert cli.main([command, "--out", str(tmp_path / f"{command}.csv")]) == 0
+    assert {"finite_default.scipy.special.bdtrik.calls": calls["bdtrik"],
+            "asymptotic_default.asymptotic.asymptotic_rate.calls": calls["asymptotic_rate"],
+            } == reference

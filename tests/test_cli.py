@@ -1,13 +1,19 @@
+import contextlib
 import inspect
+import io
 import json
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bb84rate import (ChannelModel, DetectorModel, OptimizationConfig, ProtocolParams,
                       SecurityParams, SourceModel, TrialConfig, click_error_probs)
 from bb84rate.cli import main, read_result_csv
-from bb84rate.config import load_config
+from bb84rate.config import _SCHEMA, ConfigError, load_config, parse_values
 
 FAST_OPT = """
 [optimizer]
@@ -286,10 +292,14 @@ class TestConfigHandling:
         ("maxloss", "[optimizer]\nloss_cap_db = nan\n"),
         ("maxloss", "[optimizer]\nloss_cap_db = inf\n"),
         ("maxloss", "[detector]\ndead_time_ns = nan\n"),
+        ("asymptotic", "[source]\nrep_rate_mhz = inf\n"),
+        ("fit-qber --data qber.csv", "[detector]\ndead_time_ns = inf\n"),
+        ("fit-qber --data qber.csv", "[source]\nmean_photon_number = 0\n"),
     ], ids=["efficiency", "distance", "loss_per_km_asymptotic", "loss_per_km_fit_qber",
             "loss_per_km_with_loss_db", "maxloss_time_negative", "maxloss_time_nan",
             "maxloss_time_inf", "seed_flag", "bisection_tol_nan", "shrink_factor_nan",
-            "loss_cap_nan", "loss_cap_inf", "dead_time_nan"])
+            "loss_cap_nan", "loss_cap_inf", "dead_time_nan", "rep_rate_inf",
+            "dead_time_inf", "fit_without_signal"])
     def test_out_of_range_value_rejected(self, tmp_path, monkeypatch, capsys, argv, text):
         monkeypatch.chdir(tmp_path)
         write(tmp_path / "qber.csv", "distance_km,qber\n0,0.004\n")
@@ -297,6 +307,16 @@ class TestConfigHandling:
         assert main([*argv.split(), "--config", cfg, "--out", "-"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
+
+    def test_range_value_limit(self, tmp_path, capsys):
+        assert len(parse_values("0:99999:1")) == 100_000
+        # 1e20 + 1 == 1e20: without the limit this range never ends
+        with pytest.raises(ConfigError, match="100000"):
+            parse_values("1e20:1e20:1")
+        cfg = write(tmp_path / "run.ini", "[asymptotic]\ndistances_km = 0:200000:1\n")
+        assert main(["asymptotic", "--config", cfg, "--out", "-"]) == 1
+        err = capsys.readouterr().err
+        assert "[asymptotic] distances_km" in err and "100000" in err
 
     def test_mutually_exclusive_channel_keys(self, tmp_path):
         cfg = write(tmp_path / "run.ini", "[channel]\ndistance_km = 10\nloss_db = 5\n")
@@ -341,3 +361,54 @@ class TestConfigHandling:
         for key in ("source.g2", "detector.dark_count_prob", "security.eps_cor",
                     "optimizer.grid_resolution", "channel.loss_per_km_db"):
             assert key in echo
+
+
+# Work-scaling keys draw only small values: the default grid_resolution, or
+# loss_cap_db = 1e300 (about 1,000 bisection probes), would take seconds.
+_SMALL_VALUES = {
+    ("optimizer", "grid_resolution"): ["-1", "0", "1", "2", "3", "nan"],
+    ("optimizer", "refinement_rounds"): ["-1", "0", "1", "nan"],
+    ("optimizer", "loss_cap_db"): ["-inf", "-1", "0", "1", "40", "nan", "inf"],
+    ("optimizer", "loss_bisection_tol_db"): ["-inf", "-1", "0", "2", "nan", "inf", "1e300"],
+}
+_VALUES = ["0", "-1", "nan", "inf", "-inf", "1e300", "1", "0.5", ""]
+_TINY_RUN = {("optimizer", "grid_resolution"): "2", ("optimizer", "refinement_rounds"): "1",
+             ("optimizer", "loss_bisection_tol_db"): "2",
+             ("asymptotic", "distances_km"): "100", ("maxloss", "acquisition_times_s"): "60"}
+
+
+def _schema_values(key):
+    if key in _SMALL_VALUES:
+        return _SMALL_VALUES[key]
+    default = _SCHEMA[key[0]][key[1]][1]
+    if isinstance(default, list):
+        return [",".join(map(str, default)), *_VALUES]
+    return _VALUES if default is None else [str(default), *_VALUES]
+
+
+@st.composite
+def _overrides(draw):
+    keys = draw(st.lists(st.sampled_from([(s, k) for s in _SCHEMA for k in _SCHEMA[s]]),
+                         min_size=1, max_size=2, unique=True))
+    return {key: draw(st.sampled_from(_schema_values(key))) for key in keys}
+
+
+@settings(max_examples=40, deadline=None)
+@given(command=st.sampled_from(["asymptotic", "finite", "maxloss", "fit-qber"]),
+       overrides=_overrides())
+def test_schema_values_exit_0_or_1(command, overrides):
+    # oracle is left out: its exit 2 on a failed coverage check is the contract
+    sections = {}
+    for (section, key), value in {**_TINY_RUN, **overrides}.items():
+        sections.setdefault(section, []).append(f"{key} = {value}")
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write(Path(tmp) / "run.ini", "".join(
+            f"[{s}]\n" + "\n".join(lines) + "\n" for s, lines in sections.items()))
+        data = write(Path(tmp) / "qber.csv", "distance_km,qber\n0,0.004\n100,0.006\n")
+        extra = ["--data", data] if command == "fit-qber" else []
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([command, *extra, "--config", cfg, "--out", str(Path(tmp) / "out")])
+    assert code in (0, 1), (overrides, err.getvalue())
+    if code == 1:
+        assert err.getvalue().startswith("config error: ") and err.getvalue().count("\n") == 1

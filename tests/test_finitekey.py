@@ -4,8 +4,10 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 from scipy.stats import binom
 
+from bb84rate import finitekey
 from bb84rate import (ChannelModel, ProtocolParams, SecurityParams, SessionCounts,
                       asymptotic_rate, chernoff_upper, click_error_probs, expected_counts, f_ec,
                       finite_key_length, gamma_u, inverse_binomial_cdf, lambda_ec,
@@ -199,6 +201,12 @@ class TestInverseBinomialCdf:
         # CDF(0) = 0.5^3 = 0.125 > 1e-3: no m satisfies the convention
         assert inverse_binomial_cdf(1e-3, 3, 0.5) == -1
 
+    def test_unreachable_when_bdtrik_gives_up(self):
+        # bdtrik gives NaN, so the bisection starts from lo = 0 although
+        # CDF(0) = 1 > eps; the downward walk then ends at -1
+        assert math.isnan(special.bdtrik(1e-15, 10**6, 1e-300))
+        assert inverse_binomial_cdf(1e-15, 10**6, 1e-300) == -1
+
     def test_degenerate_success_probabilities(self):
         # q = 1: CDF is 0 below n and 1 at n, so the answer is n - 1;
         # q = 0: CDF(0) = 1 already exceeds any eps < 1
@@ -305,6 +313,27 @@ class TestFiniteKeyLength:
             res = finite_key_length(counts, security, p_e / p_c, f_ec(p_e / p_c))
             asym = asymptotic_rate(source, ch, detector, ProtocolParams(p_x=p_x))
             assert res.rate <= asym.rate_per_pulse + 1e-15
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the bounds spend 10 * eps_prime, eps_sec is 6 * eps_prime "
+                              "(ROADMAP item 4)")
+    def test_bounds_spend_the_secrecy_budget(self, source, detector, security, monkeypatch):
+        spent = []
+
+        def recording(bound):
+            def wrapped(*args):
+                spent.append(args[-1])  # eps is the last argument of both bounds
+                return bound(*args)
+            return wrapped
+
+        monkeypatch.setattr(finitekey, "chernoff_upper", recording(finitekey.chernoff_upper))
+        monkeypatch.setattr(finitekey, "gamma_u", recording(finitekey.gamma_u))
+        ch = ChannelModel(10.0)
+        p_c, p_e = click_error_probs(source, ch, detector)
+        counts = expected_counts(source, ch, detector, ProtocolParams(p_x=0.9), 1e10)
+        assert finite_key_length(counts, security, p_e / p_c, f_ec(p_e / p_c)).ell > 0
+        assert len(spent) == 3  # two Chernoff caps and one sampling correction
+        assert sum(spent) + security.eps_pa == pytest.approx(security.eps_sec, rel=1e-12)
 
     def test_multiphoton_exhaustion_gives_zero(self, security):
         counts = SessionCounts(1e6, 100.0, 100.0, 1.0, 500.0, 500.0)

@@ -39,6 +39,28 @@ class TestOptimizePoint:
                                mode="asymptotic")
         assert point.p_x == pytest.approx(fast_opt.p_x_range[1], abs=1e-9)
 
+    @pytest.mark.parametrize("loss, g2, att_range", [
+        (10.0, 0.036, (0.01, 1.0)),
+        (33.8, 0.036, (0.05, 1.0)),
+        (33.8, 0.3, (0.2, 0.9)),
+        (60.0, 0.036, (0.01, 1.0)),  # zero everywhere: the tie-break decides
+    ])
+    def test_asymptotic_search_is_the_full_grid_maximum(self, detector, loss, g2, att_range):
+        # the asymptotic search evaluates only the largest p_x of each att
+        # column; it must still return the (rate, p_x, att) maximum of the grid
+        src = SourceModel(0.0142, g2, 160.7e6)
+        ch = ChannelModel(loss)
+        cfg = OptimizationConfig(p_x_range=(0.6, 0.97), att_range=att_range,
+                                 grid_resolution=9, refinement_rounds=0)
+        p_xs = optimize._linspace(*cfg.p_x_range, cfg.grid_resolution)
+        atts = optimize._linspace(*att_range, cfg.grid_resolution)
+        if att_range[1] == 1.0 and atts[-1] != 1.0:
+            atts.append(1.0)
+        best = max((asymptotic_rate(src, ch, detector, ProtocolParams(p_x=p_x, att=att))
+                    .rate_per_pulse, p_x, att) for p_x in p_xs for att in atts)
+        point = optimize_point(src, ch, detector, cfg, mode="asymptotic")
+        assert (point.rate_per_pulse, point.p_x, point.att) == best
+
     def test_deterministic(self, source, detector, fast_opt):
         kw = dict(mode="finite", n_sent=160.7e6 * 10.0)
         a = optimize_point(source, ChannelModel(19.04), detector, fast_opt, **kw)
