@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from .finitekey import SecurityParams
-from .mc_oracle import TrialConfig, check_trials
+from .mc_oracle import TrialConfig, check_eps_test, check_trials
 from .models import ChannelModel, DetectorModel, ProtocolParams, SourceModel
 from .optimize import OptimizationConfig
 
@@ -222,6 +222,7 @@ def load_config(path: str | None = None) -> RunConfig:
             loss_cap_db=get("optimizer", "loss_cap_db"),
         )
         TrialConfig(oracle["seed"], oracle["n_pulses"], oracle["eps_test"])
+        check_eps_test(oracle["eps_test"])
         for loss_db in oracle["losses_db"]:
             ChannelModel(loss_db=loss_db)
         for key in ("chernoff_trials", "sampling_trials"):

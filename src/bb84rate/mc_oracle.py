@@ -52,11 +52,31 @@ _CHERNOFF_POPULATION = 10**6
 
 _MIN_TRIALS = {"chernoff_trials": 1000, "sampling_trials": 1}
 
+# sampling-bound instances (n unobserved, k observed, population errors) in
+# the operating regime: error rates <= 2%, including the asymmetric split
+# typical of a biased-basis session
+_SAMPLING_INSTANCES = ((1000, 1000, 40), (1900, 100, 40))
+
 
 def check_trials(name: str, trials: int) -> None:
     """Raise ValueError unless the named coverage experiment can run `trials` trials."""
     if trials < _MIN_TRIALS[name]:
         raise ValueError(f"{name} must be >= {_MIN_TRIALS[name]}, got {trials}")
+
+
+def check_eps_test(eps_test: float) -> None:
+    """Raise ValueError unless gamma_u is in regime at eps_test for every sampling instance.
+
+    gamma_u's log argument falls as the observed rate rises toward 1/2, so
+    the largest rate below 1/2 an instance can observe decides.
+    """
+    for n, k, pop_errors in _SAMPLING_INSTANCES:
+        rate = min(pop_errors, (k - 1) // 2) / k
+        try:
+            gamma_u(n, k, rate, eps_test)
+        except ValueError as exc:
+            raise ValueError(f"eps_test = {eps_test} is too large for the sampling bound "
+                             f"at n={n}, k={k}, observed rate {rate:g}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -249,9 +269,7 @@ def run_oracle_suite(src: SourceModel, det: DetectorModel, protocol: ProtocolPar
             "limit": limit,
         })
 
-    # operating-regime instances: error rates <= 2%, including the
-    # asymmetric split typical of a biased-basis session
-    for n, k, pop_errors in ((1000, 1000, 40), (1900, 100, 40)):
+    for n, k, pop_errors in _SAMPLING_INSTANCES:
         exceed = sampling_bound_coverage(n, k, pop_errors, trial.eps_test,
                                          sampling_trials, seed=trial.seed,
                                          bound_scale=bound_scale)

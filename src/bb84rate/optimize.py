@@ -89,7 +89,7 @@ def _linspace(lo: float, hi: float, k: int) -> list[float]:
     if hi <= lo:
         return [lo]
     step = (hi - lo) / (k - 1)
-    return [lo + i * step for i in range(k)]
+    return [lo + i * step for i in range(k - 1)] + [hi]
 
 
 def _make_evaluator(
@@ -102,18 +102,12 @@ def _make_evaluator(
     are computed once per att column.
     """
     if mode == "asymptotic":
-        # At fixed att the rate is sift_ratio(p_x) times a factor free of p_x,
-        # and sift_ratio increases on (1/2, 1), where OptimizationConfig keeps
-        # p_x: under the (rate, p_x, att) tie-break a column's largest p_x wins
-        # or ties (zero rate). Exact while adjacent grid p_x values are more
-        # than about 1e-12 apart: at the default grid_resolution and
-        # shrink_factor, up to 11 refinement rounds (default 4).
         def evaluate(p_xs: list[float], atts: list[float]):
-            p_x = p_xs[-1]
             out = []
             for att in atts:
-                res = asymptotic_rate(src, ch, det, ProtocolParams(p_x=p_x, att=att))
-                out.append((res.rate_per_pulse, p_x, att, res))
+                for p_x in p_xs:
+                    res = asymptotic_rate(src, ch, det, ProtocolParams(p_x=p_x, att=att))
+                    out.append((res.rate_per_pulse, p_x, att, res))
             return out
         return evaluate
 
@@ -164,21 +158,23 @@ def optimize_point(
 
     evaluate = _make_evaluator(src, ch, det, mode, sec, n_sent, n_received)
 
-    px_lo0, px_hi0 = cfg.p_x_range
-    at_lo0, at_hi0 = cfg.att_range
-    include_full_att = fixed_att is None and at_hi0 == 1.0
+    if mode == "asymptotic" and fixed_p_x is None:
+        # At fixed att the rate is sift_ratio(p_x) times a factor free of p_x,
+        # and sift_ratio increases on (1/2, 1): under the (rate, p_x, att)
+        # tie-break the top of the p_x range wins or ties (zero rate).
+        fixed_p_x = cfg.p_x_range[1]
+    # a pinned axis is a one-value range
+    px_lo0, px_hi0 = cfg.p_x_range if fixed_p_x is None else (fixed_p_x, fixed_p_x)
+    at_lo0, at_hi0 = cfg.att_range if fixed_att is None else (fixed_att, fixed_att)
     px_lo, px_hi = px_lo0, px_hi0
     at_lo, at_hi = at_lo0, at_hi0
     best: tuple[float, float, float, object] | None = None
 
     for _ in range(cfg.refinement_rounds + 1):
-        p_xs = [fixed_p_x] if fixed_p_x is not None else _linspace(px_lo, px_hi, cfg.grid_resolution)
-        if fixed_att is not None:
-            atts = [fixed_att]
-        else:
-            atts = _linspace(at_lo, at_hi, cfg.grid_resolution)
-            if include_full_att and atts[-1] != 1.0:
-                atts.append(1.0)
+        p_xs = _linspace(px_lo, px_hi, cfg.grid_resolution)
+        atts = _linspace(at_lo, at_hi, cfg.grid_resolution)
+        if at_hi0 == 1.0 and at_hi < 1.0:
+            atts.append(1.0)
         for cand in evaluate(p_xs, atts):
             if best is None or cand[:3] > best[:3]:
                 best = cand

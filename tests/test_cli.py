@@ -127,6 +127,15 @@ class TestFiniteCommand:
         rates = [float(r[header.index("rate_bps")]) for r in rows]
         assert rates == sorted(rates)
 
+    def test_att_grid_ends_on_its_range_end(self, tmp_path):
+        # at att_min = 0.08 a 4-point grid once rounded its top to 1.0000000000000002
+        cfg = write(tmp_path / "run.ini",
+                    "[optimizer]\natt_min = 0.08\ngrid_resolution = 4\n")
+        out = tmp_path / "fin.csv"
+        assert main(["finite", "--config", cfg, "--out", str(out)]) == 0
+        _, header, rows = read_result_csv(str(out))
+        assert rows and all(r[header.index("status")] == "ok" for r in rows)
+
     def test_json_format(self, tmp_path):
         cfg = write(tmp_path / "run.ini",
                     FAST_OPT + "[finite]\nacquisition_times_s = 1\n")
@@ -333,8 +342,9 @@ class TestConfigHandling:
         assert main([command, "--config", cfg, "--out", "-"]) == 1
         assert f"[{section}] {key} must be strictly increasing" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line", ["n_pulses = 0", "eps_test = 2", "chernoff_trials = 10",
-                                      "sampling_trials = 0", "losses_db = -1", "seed = -1"])
+    @pytest.mark.parametrize("line", ["n_pulses = 0", "eps_test = 2", "eps_test = 0.3",
+                                      "chernoff_trials = 10", "sampling_trials = 0",
+                                      "losses_db = -1", "seed = -1"])
     def test_bad_oracle_value_rejected_before_sampling(self, tmp_path, capsys, line):
         cfg = write(tmp_path / "run.ini", f"[oracle]\n{line}\n")
         start = time.perf_counter()

@@ -1,7 +1,8 @@
 """Byte-identity guard for the CLI outputs.
 
-Each case runs ``cli.main`` to stdout with a tiny optimizer and compares the
-SHA-256 of the output with a recorded digest. A refactor that claims
+Each case runs ``cli.main`` to stdout and compares the SHA-256 of the output
+with a recorded digest. ``CASES`` run with a tiny optimizer and
+``DEFAULT_GRID_CASES`` with the default one. A refactor that claims
 byte-identical outputs must leave every digest unchanged; a change that
 moves a number must re-record the digests and say which numbers moved and
 why. The cases include one error row per curve command, so the failure
@@ -22,7 +23,7 @@ refinement_rounds = 1
 loss_bisection_tol_db = 0.5
 """
 
-# name -> (command, extra config, output format, SHA-256 of stdout)
+# name -> (command, extra config, output format, SHA-256 of stdout), at TINY_OPT
 CASES = {
     "asymptotic_csv": (
         "asymptotic", "[asymptotic]\ndistances_km = -5,0,25,50,100,150,175,200\n", "csv",
@@ -52,10 +53,20 @@ CASES = {
     ),
 }
 
+# The tiny grid's top values are exact, so it cannot see a change at a grid
+# end. This case runs the default optimizer; its optimum sits at p_x = 0.995,
+# the top of the p_x range.
+DEFAULT_GRID_CASES = {
+    "finite_block_size_1e10_json": (
+        "finite", "[finite]\nblock_sizes_received = 1e10\n", "json",
+        "4c939a63aaa8ae939b740db77999f41d080e1bfec9bb1f0ad68be6dedfaca358",
+    ),
+}
+
 
 def run_case(tmp_path, command: str, extra: str, fmt: str) -> bytes:
     cfg = tmp_path / f"{command}-{fmt}.ini"
-    cfg.write_text(TINY_OPT + extra, encoding="utf-8")
+    cfg.write_text(extra, encoding="utf-8")
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         code = main([command, "--config", str(cfg), "--out", "-", "--format", fmt])
@@ -66,4 +77,10 @@ def run_case(tmp_path, command: str, extra: str, fmt: str) -> bytes:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_digest_unchanged(tmp_path, name):
     command, extra, fmt, digest = CASES[name]
+    assert hashlib.sha256(run_case(tmp_path, command, TINY_OPT + extra, fmt)).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULT_GRID_CASES))
+def test_default_grid_digest_unchanged(tmp_path, name):
+    command, extra, fmt, digest = DEFAULT_GRID_CASES[name]
     assert hashlib.sha256(run_case(tmp_path, command, extra, fmt)).hexdigest() == digest

@@ -5,7 +5,7 @@ import pytest
 from bb84rate import (ChannelModel, DetectorModel, ProtocolParams, SourceModel, TrialConfig,
                       chernoff_coverage, chernoff_upper, click_error_probs, gamma_u,
                       sample_session, sampling_bound_coverage)
-from bb84rate.mc_oracle import run_oracle_suite
+from bb84rate.mc_oracle import check_eps_test, run_oracle_suite
 
 
 def _protocol():
@@ -142,3 +142,12 @@ class TestOracleSuite:
                                   losses_db=(0.0,), chernoff_trials=20_000,
                                   sampling_trials=2_000, bound_scale=0.5)
         assert not report["all_passed"]
+
+    def test_eps_test_limit(self):
+        # gamma_u leaves its regime first at n=1900, k=100 and observed rate
+        # 0.4, near eps = 0.0835
+        for eps in (0.01, 0.05, 0.0835):
+            check_eps_test(eps)
+        for eps in (0.0836, 0.3):
+            with pytest.raises(ValueError, match="eps_test"):
+                check_eps_test(eps)

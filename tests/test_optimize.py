@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bb84rate import optimize
 from bb84rate import (ChannelModel, DetectorModel, NoPositiveRateError, OptimizationConfig,
@@ -37,7 +39,7 @@ class TestOptimizePoint:
     def test_asymptotic_bias_goes_to_range_top(self, source, detector, fast_opt):
         point = optimize_point(source, ChannelModel(10.0), detector, fast_opt,
                                mode="asymptotic")
-        assert point.p_x == pytest.approx(fast_opt.p_x_range[1], abs=1e-9)
+        assert point.p_x == fast_opt.p_x_range[1]
 
     @pytest.mark.parametrize("loss, g2, att_range", [
         (10.0, 0.036, (0.01, 1.0)),
@@ -46,16 +48,14 @@ class TestOptimizePoint:
         (60.0, 0.036, (0.01, 1.0)),  # zero everywhere: the tie-break decides
     ])
     def test_asymptotic_search_is_the_full_grid_maximum(self, detector, loss, g2, att_range):
-        # the asymptotic search evaluates only the largest p_x of each att
-        # column; it must still return the (rate, p_x, att) maximum of the grid
+        # the asymptotic search pins p_x to the top of its range; it must
+        # still return the (rate, p_x, att) maximum of the full grid
         src = SourceModel(0.0142, g2, 160.7e6)
         ch = ChannelModel(loss)
         cfg = OptimizationConfig(p_x_range=(0.6, 0.97), att_range=att_range,
                                  grid_resolution=9, refinement_rounds=0)
         p_xs = optimize._linspace(*cfg.p_x_range, cfg.grid_resolution)
         atts = optimize._linspace(*att_range, cfg.grid_resolution)
-        if att_range[1] == 1.0 and atts[-1] != 1.0:
-            atts.append(1.0)
         best = max((asymptotic_rate(src, ch, detector, ProtocolParams(p_x=p_x, att=att))
                     .rate_per_pulse, p_x, att) for p_x in p_xs for att in atts)
         point = optimize_point(src, ch, detector, cfg, mode="asymptotic")
@@ -72,7 +72,7 @@ class TestOptimizePoint:
         point = optimize_point(source, ChannelModel(59.0), detector, fast_opt,
                                mode="finite", n_sent=1e6)
         assert point.rate_per_pulse == 0.0
-        assert point.p_x == pytest.approx(fast_opt.p_x_range[1], abs=1e-9)
+        assert point.p_x == fast_opt.p_x_range[1]
         assert point.att == 1.0
 
     def test_optimization_never_loses_to_defaults(self, source, detector, fast_opt):
@@ -89,6 +89,49 @@ class TestOptimizePoint:
         point = optimize_point(source, ChannelModel(5.0), detector, fast_opt,
                                mode="asymptotic", fixed_p_x=0.5, fixed_att=0.7)
         assert point.p_x == 0.5 and point.att == 0.7
+
+    def test_linspace_ends_on_the_range_end(self):
+        # lo + (k - 1) * step alone can round past hi (1.0000000000000002 at
+        # lo = 0.08, k = 4), which ProtocolParams rejects as an att
+        for lo in (i / 100 for i in range(1, 100)):
+            for k in range(2, 40):
+                grid = optimize._linspace(lo, 1.0, k)
+                assert grid[0] == lo and grid[-1] == 1.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(p_x_range=st.lists(st.floats(0.501, 0.999), min_size=2, max_size=2).map(sorted),
+           att_range=st.lists(st.floats(0.01, 1.0) | st.just(1.0), min_size=2, max_size=2)
+           .map(sorted),
+           grid_resolution=st.integers(2, 9), refinement_rounds=st.integers(0, 4),
+           shrink_factor=st.floats(1.5, 6.0), loss=st.floats(0.0, 40.0),
+           mode=st.sampled_from(["asymptotic", "finite"]),
+           fixed_p_x=st.none() | st.floats(0.501, 0.999),
+           fixed_att=st.none() | st.floats(0.01, 1.0))
+    def test_result_stays_in_range_and_a_pin_is_a_one_value_range(
+            self, source, detector, p_x_range, att_range, grid_resolution, refinement_rounds,
+            shrink_factor, loss, mode, fixed_p_x, fixed_att):
+        def optimize_with(p_x_range, att_range, **pins):
+            cfg = OptimizationConfig(p_x_range=tuple(p_x_range), att_range=tuple(att_range),
+                                     grid_resolution=grid_resolution,
+                                     refinement_rounds=refinement_rounds,
+                                     shrink_factor=shrink_factor)
+            n = {"n_sent": 1e10} if mode == "finite" else {}
+            return optimize_point(source, ChannelModel(loss), detector, cfg, mode=mode,
+                                  **n, **pins)
+
+        point = optimize_with(p_x_range, att_range, fixed_p_x=fixed_p_x, fixed_att=fixed_att)
+        if fixed_p_x is None:
+            assert p_x_range[0] <= point.p_x <= p_x_range[1]
+        else:
+            assert point.p_x == fixed_p_x
+        if fixed_att is None:
+            assert att_range[0] <= point.att <= att_range[1]
+        else:
+            assert point.att == fixed_att
+        ranged = optimize_with(p_x_range if fixed_p_x is None else (fixed_p_x, fixed_p_x),
+                               att_range if fixed_att is None else (fixed_att, fixed_att))
+        assert (ranged.p_x, ranged.att, ranged.rate_per_pulse) \
+            == (point.p_x, point.att, point.rate_per_pulse)
 
     def test_argument_validation(self, source, detector, fast_opt):
         with pytest.raises(ValueError):
