@@ -127,6 +127,14 @@ def fit_misalignment(data: Sequence[QberMeasurement], src: SourceModel, det: Det
     return p_mis, [a + (1.0 - 2.0 * a) * p_mis for a in offsets]
 
 
+def gllp_bracket(a: float, e: float) -> float:
+    """Secret fraction per sifted click, A*(1 - H(e/A)) - f_EC(e)*H(e), for A > 0.
+
+    e/A is clamped to 1/2, past which the bracket is already non-positive.
+    """
+    return a * (1.0 - binary_entropy(min(e / a, 0.5))) - f_ec(e) * binary_entropy(e)
+
+
 def asymptotic_rate(src: SourceModel, ch: ChannelModel, det: DetectorModel,
                     protocol: ProtocolParams) -> AsymptoticResult:
     """Asymptotic secure key rate at the given operating point.
@@ -145,9 +153,7 @@ def asymptotic_rate(src: SourceModel, ch: ChannelModel, det: DetectorModel,
     if p_c <= p_m_eff:
         return AsymptoticResult(0.0, 0.0, 0.0, e, p_c)
     a = (p_c - p_m_eff) / p_c
-    # e/A is clamped to 1/2, past which the bracket is already non-positive
-    bracket = a * (1.0 - binary_entropy(min(e / a, 0.5))) - f_ec(e) * binary_entropy(e)
-    per_pulse = max(0.0, protocol.sift_ratio * p_c * bracket)
+    per_pulse = max(0.0, protocol.sift_ratio * p_c * gllp_bracket(a, e))
     return AsymptoticResult(
         rate_per_pulse=per_pulse,
         rate_bps=per_pulse * src.rep_rate,

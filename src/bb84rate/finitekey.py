@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from scipy import special as _sp
 
@@ -41,7 +42,7 @@ class SecurityParams:
     parameter estimation gets 2 * n_pe * eps_prime for its n_pe
     constraints. The secrecy parameter is their sum, so for n_pe = 2 it
     equals 6 * eps_prime; the bounds spend 10 * eps_prime until ROADMAP
-    item 4 fixes the split. Correctness is budgeted separately.
+    item 2 fixes the split. Correctness is budgeted separately.
 
     Defaults: eps_prime = 1e-10/6 (secrecy 1e-10, parameter estimation
     2e-10/3, privacy amplification 1e-10/6) and eps_cor = 1e-15.
@@ -329,6 +330,26 @@ def finite_key_length(counts: SessionCounts, sec: SecurityParams,
     clamped at zero. Degenerate inputs (no detections, bound exhausted by
     multiphoton emissions) yield ell = 0 with the intermediates recorded.
     """
+    return _key_length(counts, sec, e_x_for_ec,
+                       lambda n_x: lambda_ec(n_x, e_x_for_ec, sec.eps_cor, f_ec_value))
+
+
+def practical_key_length(counts: SessionCounts, sec: SecurityParams,
+                         e_x_for_ec: float, f_ec_value: float) -> int:
+    """Upper bound on finite_key_length's ell that needs no F^-1.
+
+    The key length with the practical leak f_EC * n * H(e) alone. lambda_ec
+    is the max of that cost and the information term, so its leak is never
+    smaller; the key length falls as the leak grows, in floating point too,
+    where each subtraction rounds monotonically.
+    """
+    return _key_length(counts, sec, e_x_for_ec,
+                       lambda n_x: f_ec_value * n_x * binary_entropy(e_x_for_ec)).ell
+
+
+def _key_length(counts: SessionCounts, sec: SecurityParams, e_x_for_ec: float,
+                leak_bits: Callable[[float], float]) -> FiniteKeyResult:
+    """finite_key_length with leak_bits(n_rx_x) as the error-correction leakage."""
     # worst case, every multiphoton emission reaches the receiver, so the
     # Chernoff-bounded multiphoton count is subtracted from the received tally
     mp_upper_x = chernoff_upper(counts.n_mp_star_x, sec.eps_pe)
@@ -341,7 +362,7 @@ def finite_key_length(counts: SessionCounts, sec: SecurityParams,
         phi = counts.m_z / n_nmp_z
         phi_upper = phase_error_upper(counts, n_nmp_z, sec)
         if phi_upper < 0.5:
-            leak = lambda_ec(counts.n_rx_x, e_x_for_ec, sec.eps_cor, f_ec_value)
+            leak = leak_bits(counts.n_rx_x)
             raw = (n_nmp_x * (1.0 - binary_entropy(phi_upper))
                    - leak
                    - 2.0 * math.log2(1.0 / (2.0 * sec.eps_pa))

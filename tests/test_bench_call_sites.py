@@ -51,6 +51,28 @@ def test_worker_calls_bind():
                    optimize_params=False)
 
 
+def test_max_tolerable_loss_makes_an_optimize_point_call_per_boundary(monkeypatch):
+    # the tracer counts loss-search probes as optimize_point calls made from
+    # max_tolerable_loss and expects them on maxloss and curves
+    from bb84rate import OptimizationConfig, optimize
+    from bb84rate.config import load_config
+    cfg = load_config(None)
+    tiny = OptimizationConfig(grid_resolution=4, refinement_rounds=0, loss_bisection_tol_db=1.0)
+    calls = collections.Counter()
+    original = optimize.optimize_point
+
+    def counted(*args, **kwargs):
+        calls[kwargs["mode"], kwargs.get("fixed_att")] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "optimize_point", counted)
+    optimize.max_tolerable_loss(cfg.source, cfg.detector, tiny, n_sent=cfg.source.rep_rate)
+    optimize.max_tolerable_loss(cfg.source, cfg.detector, tiny, mode="asymptotic")
+    optimize.max_tolerable_loss(cfg.source, cfg.detector, tiny, mode="asymptotic",
+                                optimize_params=False)
+    assert set(calls) == {("finite", None), ("asymptotic", None), ("asymptotic", 1.0)}
+
+
 def test_worker_config_fields_exist():
     from bb84rate.config import load_config
     cfg = load_config(None)

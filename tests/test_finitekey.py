@@ -316,7 +316,7 @@ class TestFiniteKeyLength:
 
     @pytest.mark.xfail(strict=True, raises=AssertionError,
                        reason="the bounds spend 10 * eps_prime, eps_sec is 6 * eps_prime "
-                              "(ROADMAP item 4)")
+                              "(ROADMAP item 2)")
     def test_bounds_spend_the_secrecy_budget(self, source, detector, security, monkeypatch):
         spent = []
 
@@ -362,3 +362,23 @@ class TestFiniteKeyLength:
         assert res.lambda_ec >= 0.0
         assert res.n_nmp_x <= counts.n_rx_x and res.n_nmp_z <= counts.n_rx_z
         assert math.isfinite(res.rate) and math.isfinite(res.lambda_ec)
+
+    @settings(max_examples=200, deadline=None)
+    @given(log_n_sent=st.floats(3.0, 13.0), p_x=st.floats(0.5, 0.999),
+           log_p_c=st.floats(-7.0, 0.0), e=st.just(0.0) | st.floats(-4.0, -0.31).map(
+               lambda x: 10.0**x),
+           log_multi_share=st.floats(-6.0, 0.0), log_eps_prime=st.floats(-15.0, -3.0),
+           log_eps_cor=st.floats(-20.0, -3.0))
+    def test_practical_leak_bounds_the_key_length(self, log_n_sent, p_x, log_p_c, e,
+                                                  log_multi_share, log_eps_prime, log_eps_cor):
+        # lambda_ec is a max over the practical cost, so the key length with
+        # that cost alone is never shorter: the loss search's point screen
+        p_c = 10.0**log_p_c
+        counts = SessionCounts.from_probs(10.0**log_n_sent, p_x, p_c, e * p_c,
+                                          10.0**log_multi_share * p_c)
+        sec = SecurityParams(eps_prime=10.0**log_eps_prime, eps_cor=10.0**log_eps_cor)
+        try:
+            ell = finite_key_length(counts, sec, e, f_ec(e)).ell
+        except ValueError:  # gamma_u out of its regime
+            return
+        assert ell <= finitekey.practical_key_length(counts, sec, e, f_ec(e))

@@ -54,12 +54,18 @@ CASES = {
 }
 
 # The tiny grid's top values are exact, so it cannot see a change at a grid
-# end. This case runs the default optimizer; its optimum sits at p_x = 0.995,
-# the top of the p_x range.
+# end. These cases run the default optimizer. The finite optimum sits at
+# p_x = 0.995, the top of the p_x range. The maxloss boundaries cover a short
+# block, where the lambda_ec information term wins, and the 3600 s block,
+# where the loss search's column screen rejects the most columns.
 DEFAULT_GRID_CASES = {
     "finite_block_size_1e10_json": (
         "finite", "[finite]\nblock_sizes_received = 1e10\n", "json",
         "4c939a63aaa8ae939b740db77999f41d080e1bfec9bb1f0ad68be6dedfaca358",
+    ),
+    "maxloss_1s_3600s_csv": (
+        "maxloss", "[maxloss]\nacquisition_times_s = 1,3600\n", "csv",
+        "1022b7c4f64121181dae0388488d0974640d8c1992bd23d8e8400f30375358d8",
     ),
 }
 

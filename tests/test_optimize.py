@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from bb84rate import optimize
 from bb84rate import (ChannelModel, DetectorModel, NoPositiveRateError, OptimizationConfig,
-                      ProtocolParams, SourceModel, asymptotic_rate,
+                      ProtocolParams, SecurityParams, SourceModel, asymptotic_rate,
                       finite_key_length, expected_counts, click_error_probs, f_ec,
                       max_tolerable_loss, optimize_point, run_sweep)
 
@@ -211,7 +211,7 @@ class TestMaxTolerableLoss:
         # once lo and hi are adjacent doubles the midpoint equals one of them;
         # the search must stop there instead of probing forever
         probes = 0
-        original = optimize.optimize_point
+        original = optimize._positive_point
 
         def counted(*args, **kwargs):
             nonlocal probes
@@ -220,7 +220,7 @@ class TestMaxTolerableLoss:
                 raise AssertionError("loss bisection does not terminate")
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(optimize, "optimize_point", counted)
+        monkeypatch.setattr(optimize, "_positive_point", counted)
         tiny = dict(grid_resolution=6, refinement_rounds=1)
         exact = max_tolerable_loss(source, detector,
                                    OptimizationConfig(**tiny, loss_bisection_tol_db=1e-300),
@@ -229,6 +229,100 @@ class TestMaxTolerableLoss:
                                     OptimizationConfig(**tiny, loss_bisection_tol_db=0.01),
                                     mode="asymptotic")
         assert abs(exact - coarse) <= 0.01
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="near a short-block finite boundary the optimized rate is not "
+                              "nonincreasing in loss (CHANGES.md FOUND line)")
+    def test_bracketing_promise_at_a_short_block(self):
+        # the docstring's promise: positive at boundary - tol, zero at boundary + tol.
+        # Here the rate is 0 at boundary - 0.01 dB but 3 bits at boundary - 0.005 dB.
+        src = SourceModel(0.026010892651406624, 0.10364787239782516, 8e7)
+        det = DetectorModel(0.8508240973508399, 2.8005031411394388e-08, 0.0,
+                            0.040108807836252175)
+        cfg = OptimizationConfig(p_x_range=(0.6964696848807903, 0.9369112796612679),
+                                 att_range=(0.4506496063336751, 1.0), grid_resolution=7,
+                                 refinement_rounds=1, shrink_factor=3.484966717927988)
+        kw = dict(mode="finite", sec=SecurityParams(eps_prime=3.871260772582908e-13),
+                  n_sent=1082928.421075916)
+        boundary = max_tolerable_loss(src, det, cfg, **kw)
+
+        def rate(loss):
+            return optimize_point(src, ChannelModel(loss), det, cfg, **kw).rate_per_pulse
+
+        assert rate(boundary - cfg.loss_bisection_tol_db) > 0.0
+        assert rate(boundary + cfg.loss_bisection_tol_db) == 0.0
+
+
+sources = st.builds(SourceModel, st.floats(0.005, 0.1), st.floats(0.0, 0.3),
+                    st.floats(1e6, 1e9))
+detectors = st.builds(DetectorModel, st.floats(0.05, 1.0), st.floats(0.0, 1e-5),
+                      st.floats(0.0, 1e-7), st.floats(0.0, 0.1))
+securities = st.builds(SecurityParams, st.floats(-15.0, -3.0).map(lambda x: 10.0**x),
+                       eps_cor=st.floats(-20.0, -3.0).map(lambda x: 10.0**x))
+
+
+class TestLossProbe:
+    @settings(max_examples=100, deadline=None)
+    @given(src=sources, det=detectors, sec=securities,
+           p_x_range=st.lists(st.floats(0.501, 0.999), min_size=2, max_size=2).map(sorted),
+           att_range=st.lists(st.floats(0.01, 1.0) | st.just(1.0), min_size=2, max_size=2)
+           .map(sorted),
+           grid_resolution=st.integers(2, 9), refinement_rounds=st.integers(0, 4),
+           shrink_factor=st.floats(1.5, 6.0), mode=st.sampled_from(["asymptotic", "finite"]),
+           log_n_sent=st.floats(4.0, 12.0),
+           pins=st.none() | st.tuples(st.floats(0.5, 0.999), st.floats(0.01, 1.0)),
+           loss=st.floats(0.0, 35.0), warm_share=st.floats(0.0, 1.0))
+    def test_probe_answers_whether_the_optimum_is_positive(
+            self, src, det, sec, p_x_range, att_range, grid_resolution, refinement_rounds,
+            shrink_factor, mode, log_n_sent, pins, loss, warm_share):
+        cfg = OptimizationConfig(p_x_range=tuple(p_x_range), att_range=tuple(att_range),
+                                 grid_resolution=grid_resolution,
+                                 refinement_rounds=refinement_rounds,
+                                 shrink_factor=shrink_factor)
+        kw = dict(mode=mode, sec=sec, n_sent=10.0**log_n_sent if mode == "finite" else None)
+        if pins is not None:
+            kw.update(fixed_p_x=pins[0], fixed_att=pins[1])
+
+        def probe(loss_db, warm=None):
+            return optimize._positive_point(src, ChannelModel(loss_db), det, cfg, warm=warm,
+                                            **kw)
+
+        try:
+            positive = optimize_point(src, ChannelModel(loss), det, cfg,
+                                      **kw).rate_per_pulse > 0.0
+        except (ValueError, ArithmeticError):
+            return  # the models reject this operating point
+        point = probe(loss)
+        assert (point is not None) == positive
+        if point is not None:
+            # the answer is a grid point whose own rate is positive
+            alone = optimize_point(src, ChannelModel(loss), det, cfg, **{
+                **kw, "fixed_p_x": point[0], "fixed_att": point[1]})
+            assert alone.rate_per_pulse > 0.0
+        try:
+            warm = probe(loss * warm_share)
+        except (ValueError, ArithmeticError):
+            return
+        # a positive point found at a lower loss in the same search, tried first
+        assert (probe(loss, warm) is not None) == positive
+
+    @settings(max_examples=200, deadline=None)
+    @given(src=sources, det=detectors, sec=securities, loss=st.floats(0.0, 35.0),
+           att=st.floats(0.01, 1.0), p_x=st.floats(0.5, 0.999),
+           log_n_sent=st.floats(4.0, 13.0))
+    def test_column_screen_bounds_the_key_length(self, src, det, sec, loss, att, p_x,
+                                                 log_n_sent):
+        n_sent = 10.0**log_n_sent
+        try:
+            column = optimize._FiniteColumn(src, ChannelModel(loss), det, att, sec, n_sent,
+                                            None)
+            ell = column.evaluate(p_x)[1].ell
+        except (ValueError, ArithmeticError):
+            return
+        consts = 2.0 * math.log2(1.0 / (2.0 * sec.eps_pa)) + math.log2(2.0 / sec.eps_cor)
+        assert ell <= max(0.0, n_sent * p_x**2 * column.p_c * column.bracket() - consts)
+        if column.screened():
+            assert ell == 0
 
 
 class TestRunSweep:
