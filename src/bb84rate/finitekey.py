@@ -11,8 +11,8 @@ f_EC * n * H(e) cost.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable
 
 from scipy import special as _sp
 
@@ -208,10 +208,18 @@ def gamma_u(n: float, k: float, observed_rate: float, eps: float) -> float:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
     lam = observed_rate
     big = max(n, k)
-    log_arg = (n + k) / (2.0 * math.pi * n * k * lam * (1.0 - lam) * eps**2)
-    if log_arg <= 1.0:
-        raise ValueError(f"bound out of regime: log argument {log_arg} <= 1")
-    g = (n + k) / (n * k) * math.log(log_arg)
+    den = 2.0 * math.pi * n * k * lam * (1.0 - lam) * eps**2
+    log_arg = (n + k) / den if den >= sys.float_info.min else math.inf
+    if log_arg == math.inf:
+        # the denominator underflows or the quotient overflows; the quotient
+        # is far above 1 there, and its log is a sum of logs
+        log_term = (math.log(n + k) - math.log(2.0 * math.pi) - math.log(n) - math.log(k)
+                    - math.log(lam) - math.log1p(-lam) - 2.0 * math.log(eps))
+    else:
+        if log_arg <= 1.0:
+            raise ValueError(f"bound out of regime: log argument {log_arg} <= 1")
+        log_term = math.log(log_arg)
+    g = (n + k) / (n * k) * log_term
     t = big * g / (n + k)
     return (1.0 / (2.0 + 2.0 * big * t / (n + k))) * (
         (1.0 - 2.0 * lam) * t + math.sqrt(t * t + 4.0 * lam * (1.0 - lam) * g)
@@ -330,8 +338,18 @@ def finite_key_length(counts: SessionCounts, sec: SecurityParams,
     clamped at zero. Degenerate inputs (no detections, bound exhausted by
     multiphoton emissions) yield ell = 0 with the intermediates recorded.
     """
-    return _key_length(counts, sec, e_x_for_ec,
-                       lambda n_x: lambda_ec(n_x, e_x_for_ec, sec.eps_cor, f_ec_value))
+    mp_upper_x, mp_upper_z, n_nmp_x, n_nmp_z, phi, phi_upper = _estimates(counts, sec)
+    ell, leak = 0, 0.0
+    if phi_upper < 0.5:
+        leak = lambda_ec(counts.n_rx_x, e_x_for_ec, sec.eps_cor, f_ec_value)
+        ell = _ell(n_nmp_x, phi_upper, leak, sec)
+    rate = ell / counts.n_sent if counts.n_sent > 0 else 0.0
+    return FiniteKeyResult(
+        ell=ell, rate=rate, counts=counts,
+        n_mp_upper_x=mp_upper_x, n_mp_upper_z=mp_upper_z,
+        n_nmp_x=n_nmp_x, n_nmp_z=n_nmp_z,
+        phi_x=phi, phi_x_upper=phi_upper, lambda_ec=leak, e_x=e_x_for_ec,
+    )
 
 
 def practical_key_length(counts: SessionCounts, sec: SecurityParams,
@@ -343,35 +361,37 @@ def practical_key_length(counts: SessionCounts, sec: SecurityParams,
     smaller; the key length falls as the leak grows, in floating point too,
     where each subtraction rounds monotonically.
     """
-    return _key_length(counts, sec, e_x_for_ec,
-                       lambda n_x: f_ec_value * n_x * binary_entropy(e_x_for_ec)).ell
+    _, _, n_nmp_x, _, _, phi_upper = _estimates(counts, sec)
+    if phi_upper >= 0.5:
+        return 0
+    return _ell(n_nmp_x, phi_upper, f_ec_value * counts.n_rx_x * binary_entropy(e_x_for_ec),
+                sec)
 
 
-def _key_length(counts: SessionCounts, sec: SecurityParams, e_x_for_ec: float,
-                leak_bits: Callable[[float], float]) -> FiniteKeyResult:
-    """finite_key_length with leak_bits(n_rx_x) as the error-correction leakage."""
+def _estimates(counts: SessionCounts,
+               sec: SecurityParams) -> tuple[float, float, float, float, float, float]:
+    """(n_mp_upper_x, n_mp_upper_z, n_nmp_x, n_nmp_z, phi_x, phi_x_upper) of the tallies.
+
+    Both phase-error values are 1/2 where no key is possible: no
+    non-multiphoton signal in a basis, or no key-basis detection.
+    """
     # worst case, every multiphoton emission reaches the receiver, so the
     # Chernoff-bounded multiphoton count is subtracted from the received tally
     mp_upper_x = chernoff_upper(counts.n_mp_star_x, sec.eps_pe)
     mp_upper_z = chernoff_upper(counts.n_mp_star_z, sec.eps_pe)
     n_nmp_x = max(0.0, counts.n_rx_x - mp_upper_x)
     n_nmp_z = max(0.0, counts.n_rx_z - mp_upper_z)
-
-    ell, phi, phi_upper, leak = 0, 0.5, 0.5, 0.0
+    phi, phi_upper = 0.5, 0.5
     if n_nmp_x > 0.0 and n_nmp_z > 0.0 and counts.n_rx_x >= 1.0:
         phi = counts.m_z / n_nmp_z
         phi_upper = phase_error_upper(counts, n_nmp_z, sec)
-        if phi_upper < 0.5:
-            leak = leak_bits(counts.n_rx_x)
-            raw = (n_nmp_x * (1.0 - binary_entropy(phi_upper))
-                   - leak
-                   - 2.0 * math.log2(1.0 / (2.0 * sec.eps_pa))
-                   - math.log2(2.0 / sec.eps_cor))
-            ell = max(0, math.floor(raw))
-    rate = ell / counts.n_sent if counts.n_sent > 0 else 0.0
-    return FiniteKeyResult(
-        ell=ell, rate=rate, counts=counts,
-        n_mp_upper_x=mp_upper_x, n_mp_upper_z=mp_upper_z,
-        n_nmp_x=n_nmp_x, n_nmp_z=n_nmp_z,
-        phi_x=phi, phi_x_upper=phi_upper, lambda_ec=leak, e_x=e_x_for_ec,
-    )
+    return mp_upper_x, mp_upper_z, n_nmp_x, n_nmp_z, phi, phi_upper
+
+
+def _ell(n_nmp_x: float, phi_upper: float, leak: float, sec: SecurityParams) -> int:
+    """The key length, floored and clamped at zero, for a phase-error bound below 1/2."""
+    raw = (n_nmp_x * (1.0 - binary_entropy(phi_upper))
+           - leak
+           - 2.0 * math.log2(1.0 / (2.0 * sec.eps_pa))
+           - math.log2(2.0 / sec.eps_cor))
+    return max(0, math.floor(raw))

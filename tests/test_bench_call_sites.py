@@ -5,18 +5,18 @@ table; a refactor that renames or removes one breaks traced runs silently.
 The table is read from the file, not imported, so the guard runs no
 benchmark code. The other tests pin the signatures and config fields that
 bench/worker.py and bench/tracer.py use, so a signature purge fails here
-instead of in a benchmark run, and the call counts that bench/baseline.json
-freezes for the default finite and asymptotic commands.
+instead of in a benchmark run, and the exact call counts of the default
+finite and asymptotic commands. Those counts are literals here: the
+reference_counts in bench/baseline.json still hold the finite count from
+before optimize_point's branch-and-bound (5,069 bdtrik calls).
 """
 import ast
 import collections
 import importlib
 import inspect
-import json
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
-BASELINE = TRACER.parent / "baseline.json"
 
 
 def call_sites():
@@ -91,7 +91,6 @@ def test_default_commands_keep_the_reference_counts(tmp_path, monkeypatch):
     import scipy.special
 
     from bb84rate import cli, optimize
-    reference = json.loads(BASELINE.read_text(encoding="utf-8"))["reference_counts"]
     calls = collections.Counter()
 
     def counted(name, fn):
@@ -105,6 +104,5 @@ def test_default_commands_keep_the_reference_counts(tmp_path, monkeypatch):
                         counted("asymptotic_rate", optimize.asymptotic_rate))
     for command in ("finite", "asymptotic"):
         assert cli.main([command, "--out", str(tmp_path / f"{command}.csv")]) == 0
-    assert {"finite_default.scipy.special.bdtrik.calls": calls["bdtrik"],
-            "asymptotic_default.asymptotic.asymptotic_rate.calls": calls["asymptotic_rate"],
-            } == reference
+    assert calls["bdtrik"] == 219  # finite
+    assert calls["asymptotic_rate"] == 5772  # asymptotic

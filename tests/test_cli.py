@@ -117,6 +117,21 @@ class TestFiniteCommand:
         assert float(rows[0][header.index("rate_bps")]) == 0.0
         assert int(rows[0][header.index("ell")]) == 0
 
+    def test_tiny_misalignment_keeps_its_key(self, tmp_path):
+        # at an error rate of 1e-300 the sampling correction once overflowed
+        # to NaN, which clamped the phase error to 1/2 and gave 0 bps
+        rates = []
+        for misalignment in ("1e-300", "1e-200"):
+            cfg = write(tmp_path / "run.ini",
+                        f"[detector]\nmisalignment = {misalignment}\ndark_count_prob = 0\n"
+                        "[source]\ng2 = 0\n[finite]\nblock_sizes_received = 1e8\n")
+            out = tmp_path / "fin.csv"
+            assert main(["finite", "--config", cfg, "--out", str(out)]) == 0
+            _, header, rows = read_result_csv(str(out))
+            rates.append(float(rows[0][header.index("rate_bps")]))
+        assert rates[0] > 0.0
+        assert rates[0] == pytest.approx(rates[1], rel=0.02)
+
     def test_block_size_rows_ordered(self, tmp_path):
         cfg = write(tmp_path / "run.ini",
                     FAST_OPT + "[channel]\nloss_db = 0\n"

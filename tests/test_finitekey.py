@@ -147,6 +147,16 @@ class TestGammaU:
         with pytest.raises(ValueError):
             gamma_u(1e6, 1e6, 0.25, 0.5)
 
+    def test_tiny_rates_stay_finite(self):
+        # below the smallest normal double the log argument's denominator
+        # underflowed (a NaN bound, or ZeroDivisionError at zero); above it
+        # the quotient could still overflow
+        eps = 1e-10 / 6
+        assert math.isfinite(gamma_u(99002500, 2500, 1e-300, eps))
+        assert math.isfinite(gamma_u(250, 250, 7e-306, 1e-13))
+        bounds = [gamma_u(99002500, 2500, lam, eps) for lam in (1e-290, 1e-295, 1e-300)]
+        assert all(math.isfinite(b) for b in bounds) and bounds == sorted(bounds)
+
 
 class TestPhaseErrorUpper:
     def test_zero_observed_errors_uses_floor(self, security):

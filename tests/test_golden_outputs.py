@@ -57,11 +57,17 @@ CASES = {
 # end. These cases run the default optimizer. The finite optimum sits at
 # p_x = 0.995, the top of the p_x range. The maxloss boundaries cover a short
 # block, where the lambda_ec information term wins, and the 3600 s block,
-# where the loss search's column screen rejects the most columns.
+# where the loss search's column screen rejects the most columns. The short
+# and long finite blocks pin optimize_point's branch-and-bound on both sides
+# of the lambda_ec term switch.
 DEFAULT_GRID_CASES = {
     "finite_block_size_1e10_json": (
         "finite", "[finite]\nblock_sizes_received = 1e10\n", "json",
         "4c939a63aaa8ae939b740db77999f41d080e1bfec9bb1f0ad68be6dedfaca358",
+    ),
+    "finite_block_size_1e4_1e6_1e8_csv": (
+        "finite", "[finite]\nblock_sizes_received = 1e4,1e6,1e8\n", "csv",
+        "5c95bf342cb5be44e68277714ea07dcb63e7dc82fbc5aeb116cbd7cb453f5977",
     ),
     "maxloss_1s_3600s_csv": (
         "maxloss", "[maxloss]\nacquisition_times_s = 1,3600\n", "csv",

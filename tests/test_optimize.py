@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 
 from bb84rate import optimize
 from bb84rate import (ChannelModel, DetectorModel, NoPositiveRateError, OptimizationConfig,
-                      ProtocolParams, SecurityParams, SourceModel, asymptotic_rate,
-                      finite_key_length, expected_counts, click_error_probs, f_ec,
-                      max_tolerable_loss, optimize_point, run_sweep)
+                      OptimizedPoint, ProtocolParams, SecurityParams, SourceModel,
+                      asymptotic_rate, finite_key_length, expected_counts, click_error_probs,
+                      f_ec, max_tolerable_loss, optimize_point, run_sweep)
+from bb84rate.entropy import binary_entropy
+from bb84rate.finitekey import practical_key_length
 
 
 class TestConfigValidation:
@@ -320,9 +322,76 @@ class TestLossProbe:
         except (ValueError, ArithmeticError):
             return
         consts = 2.0 * math.log2(1.0 / (2.0 * sec.eps_pa)) + math.log2(2.0 / sec.eps_cor)
-        assert ell <= max(0.0, n_sent * p_x**2 * column.p_c * column.bracket() - consts)
+        assert ell <= max(0.0, n_sent * p_x**2 * column.p_c * column.bracket - consts)
         if column.screened():
             assert ell == 0
+
+
+def exhaustive_walk(src, ch, det, cfg, *, mode, sec, n_sent=None, n_received=None,
+                    fixed_p_x=None, fixed_att=None):
+    """optimize_point without bounds: the exact rate at every grid point, in walk order."""
+    column_at = optimize._column_maker(src, ch, det, mode, sec, n_sent, n_received)
+    best = None
+    for p_xs, atts in optimize._round_grids(cfg, mode, fixed_p_x, fixed_att,
+                                            lambda: best[1:3]):
+        for att in atts:
+            column = column_at(att)
+            for p_x in p_xs:
+                rate, result = column.evaluate(p_x)
+                if best is None or (rate, p_x, att) > best[:3]:
+                    best = (rate, p_x, att, result)
+    rate, p_x, att, result = best
+    return OptimizedPoint(p_x=p_x, att=att, rate_per_pulse=rate, rate_bps=rate * src.rep_rate,
+                          result=result)
+
+
+class TestBranchAndBound:
+    @settings(max_examples=200, deadline=None)
+    @given(src=sources, det=detectors, sec=securities,
+           p_x_range=st.lists(st.floats(0.501, 0.999), min_size=2, max_size=2).map(sorted),
+           att_range=st.lists(st.floats(0.01, 1.0) | st.just(1.0), min_size=2, max_size=2)
+           .map(sorted),
+           grid_resolution=st.integers(2, 9), refinement_rounds=st.integers(0, 4),
+           shrink_factor=st.floats(1.5, 6.0), block=st.sampled_from(["n_sent", "n_received"]),
+           log_n=st.floats(3.0, 12.0), fixed_p_x=st.none() | st.floats(0.5, 0.999),
+           fixed_att=st.none() | st.floats(0.01, 1.0), loss=st.floats(0.0, 35.0))
+    def test_optimize_point_equals_the_exhaustive_walk(
+            self, src, det, sec, p_x_range, att_range, grid_resolution, refinement_rounds,
+            shrink_factor, block, log_n, fixed_p_x, fixed_att, loss):
+        # a skipped point could never have become the incumbent, so every
+        # round's window and the result, FiniteKeyResult included, are those
+        # of the walk that evaluates every point
+        cfg = OptimizationConfig(p_x_range=tuple(p_x_range), att_range=tuple(att_range),
+                                 grid_resolution=grid_resolution,
+                                 refinement_rounds=refinement_rounds,
+                                 shrink_factor=shrink_factor)
+        kw = {"mode": "finite", "sec": sec, block: 10.0**log_n,
+              "fixed_p_x": fixed_p_x, "fixed_att": fixed_att}
+        try:
+            reference = exhaustive_walk(src, ChannelModel(loss), det, cfg, **kw)
+        except (ValueError, ArithmeticError):
+            return  # the models reject a grid point
+        assert repr(optimize_point(src, ChannelModel(loss), det, cfg, **kw)) == repr(reference)
+
+    @settings(max_examples=200, deadline=None)
+    @given(src=sources, det=detectors, sec=securities, loss=st.floats(0.0, 35.0),
+           att=st.floats(0.01, 1.0), p_x=st.floats(0.5, 0.999),
+           log_n_sent=st.floats(4.0, 13.0))
+    def test_point_bounds_dominate_the_key_length(self, src, det, sec, loss, att, p_x,
+                                                  log_n_sent):
+        # the bounds evaluate() prunes with, cheapest first: column bound >=
+        # practical_key_length >= ell, with equality where the practical leak wins
+        try:
+            column = optimize._FiniteColumn(src, ChannelModel(loss), det, att, sec,
+                                            10.0**log_n_sent, None)
+            counts = column.counts(p_x)
+            res = column.evaluate(p_x)[1]
+        except (ValueError, ArithmeticError):
+            return
+        practical = practical_key_length(counts, sec, column.e_x, column.fec)
+        assert res.ell <= practical <= column.ell_bound(p_x)
+        if res.lambda_ec == column.fec * counts.n_rx_x * binary_entropy(column.e_x):
+            assert practical == res.ell
 
 
 class TestRunSweep:
