@@ -3,18 +3,20 @@
 The rate surface has floor and clamp kinks, so optimization is a
 deterministic coarse grid over (basis bias, pre-attenuation) followed by
 shrinking-grid refinement around the incumbent, the lexicographic maximum
-of (rate, p_x, att). In finite mode the search is a branch-and-bound over
-that grid: a point whose upper bound on the key length cannot beat the
-incumbent is skipped before its exact key length, and so before the F^-1
-of lambda_ec. The bounds are cheap, cheapest first: the asymptotic bracket
-of the point's att column, then the key length with the practical leak
-alone. A skipped point could never have become the incumbent, so the
-result is that of evaluating every grid point.
+of (rate, p_x, att). Only a positive point becomes the incumbent: a search
+whose every rate is zero returns the tie-break point, the top of the
+ranges, so its windows shrink around that corner. In finite mode the
+search is a branch-and-bound over the grid: a column whose asymptotic
+bracket proves every key length zero is skipped, and so is a point whose
+upper bound on the key length cannot beat the incumbent, before its exact
+key length and so before the F^-1 of lambda_ec. A skipped point could
+never have become the incumbent, so the result is that of evaluating every
+grid point.
 
-The loss-boundary search only needs to know whether the optimum is
-positive. Its probes walk the same rounds, stop at the first positive
-point and skip the exact key length wherever the same bounds already prove
-it zero; they answer exactly as the full search would.
+optimize_point and the loss-boundary search consume the same walk, which
+yields each new positive incumbent. The loss search only needs to know
+whether the optimum is positive, so a probe stops at the first yield; it
+answers exactly as the full search would.
 
 A sweep is one optimize_point call per value: the caller builds each
 operating point, and run_sweep turns a point the models reject into a
@@ -22,7 +24,6 @@ zero-rate error row instead of aborting the sweep.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
@@ -212,6 +213,10 @@ def _column_maker(
     if mode == "finite":
         if (n_sent is None) == (n_received is None):
             raise ValueError("finite mode needs exactly one of n_sent or n_received")
+        for name, value in (("n_sent", n_sent), ("n_received", n_received)):
+            # written so that NaN fails the check
+            if value is not None and not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         return lambda att: _FiniteColumn(src, ch, det, att, sec, n_sent, n_received)
     if n_sent is not None or n_received is not None:
         raise ValueError("asymptotic mode takes neither n_sent nor n_received")
@@ -220,16 +225,14 @@ def _column_maker(
 
 def _round_grids(
     cfg: OptimizationConfig, mode: str, fixed_p_x: float | None, fixed_att: float | None,
-    incumbent: Callable[[], tuple[float, float]] | None = None,
+    incumbent: Callable[[], tuple[float, float]],
 ) -> Iterator[tuple[list[float], list[float]]]:
     """Yield the (p_xs, atts) grid of each search round.
 
     A pinned axis is a one-value range. After each round both windows
-    shrink around incumbent(), the (p_x, att) of the best point so far.
-    Without an incumbent the rounds are those of a search whose every rate
-    is zero: ties break toward larger p_x, then larger att, so its
-    incumbent stays the top corner of the ranges and no round depends on
-    the operating point.
+    shrink around incumbent(), the (p_x, att) of the best point so far,
+    clamped into the ranges: the (inf, inf) of a search with no positive
+    point yet is the top corner, where an all-zero search breaks its ties.
     """
     if mode == "asymptotic" and fixed_p_x is None:
         # At fixed att the rate is sift_ratio(p_x) times a factor free of p_x,
@@ -245,11 +248,39 @@ def _round_grids(
         if at_hi0 == 1.0 and at_hi < 1.0:
             atts.append(1.0)
         yield _linspace(px_lo, px_hi, cfg.grid_resolution), atts
-        bp, ba = incumbent() if incumbent else (px_hi0, at_hi0)
+        bp, ba = incumbent()
+        bp, ba = min(bp, px_hi0), min(ba, at_hi0)
         pw = (px_hi - px_lo) / (2.0 * cfg.shrink_factor)
         aw = (at_hi - at_lo) / (2.0 * cfg.shrink_factor)
         px_lo, px_hi = max(px_lo0, bp - pw), min(px_hi0, bp + pw)
         at_lo, at_hi = max(at_lo0, ba - aw), min(at_hi0, ba + aw)
+
+
+def _positive_incumbents(
+    column_at: Callable[[float], _AsymptoticColumn | _FiniteColumn], cfg: OptimizationConfig,
+    mode: str, *, fixed_p_x: float | None = None, fixed_att: float | None = None,
+) -> Iterator[tuple[float, float, float, AsymptoticResult | FiniteKeyResult]]:
+    """Walk the search rounds; yield each new positive incumbent (rate, p_x, att, result).
+
+    The incumbent starts as a zero rate that wins every tie, so only a
+    positive point replaces it, and while there is none the windows shrink
+    around the top corner. A screened column is skipped, and in finite mode
+    so is every point whose bound cannot beat the incumbent in the
+    (rate, p_x, att) tie-break (_FiniteColumn.evaluate). The last value
+    yielded is the optimum; none is yielded exactly when every grid point
+    has rate zero.
+    """
+    best = _ZERO_WINNING_TIES
+    for p_xs, atts in _round_grids(cfg, mode, fixed_p_x, fixed_att, lambda: best[1:3]):
+        for att in atts:
+            column = column_at(att)
+            if column.screened():
+                continue
+            for p_x in p_xs:
+                found = column.evaluate(p_x, best[:3])
+                if found is not None and (found[0], p_x, att) > best[:3]:
+                    best = (found[0], p_x, att, found[1])
+                    yield best
 
 
 def optimize_point(
@@ -264,79 +295,41 @@ def optimize_point(
     Deterministic grid search with shrinking refinement; ties break toward
     larger p_x, then larger att. Either axis can be pinned with fixed_p_x
     or fixed_att. Finite mode needs exactly one of n_sent (pulses sent) or
-    n_received (detections to accumulate); asymptotic mode needs neither.
+    n_received (detections to accumulate), finite and >= 0; asymptotic
+    mode needs neither.
 
     An all-zero-rate grid returns rate 0 at the tie-break point (the top
-    of the searched ranges).
+    of the searched ranges), evaluated once after the walk for its result.
 
-    In finite mode a point is skipped, without its exact key length, when
-    a bound proves it cannot beat the incumbent in the (rate, p_x, att)
-    tie-break, and a screened column offers only its top p_x. A skipped
-    point could never have become the incumbent, so every round's window
-    and the result, FiniteKeyResult included, are those of evaluating
-    every point. Exceptions can differ: an evaluation raises at the first
-    point that fails, and a skipped point is never evaluated. In 1,500
-    random draws (source, detector, eps, ranges, pins, grid_resolution
-    2-9, refinement_rounds 0-4, n_sent or n_received 1e3-1e12) every
-    result was repr-identical to that of the search evaluating every
-    point; 19 draws raised the same error there and here, and 6 raised
-    gamma_u's "bound out of regime" at another point, with another log
-    argument in the message.
+    In finite mode a column whose bracket proves every key length zero is
+    skipped, and so is a point that a bound proves cannot beat the
+    incumbent in the (rate, p_x, att) tie-break, without its exact key
+    length. A skipped point could never have become the incumbent, so
+    every round's window and the result, FiniteKeyResult included, are
+    those of evaluating every point. Exceptions can differ: an evaluation
+    raises at the first point that fails, and a skipped point is never
+    evaluated. In 1,500 random draws (source, detector, eps, ranges, pins,
+    grid_resolution 2-9, refinement_rounds 0-4, n_sent or n_received
+    1e3-1e12) every result was repr-identical to that of the search
+    evaluating every point; 15 draws raised the same error there and here,
+    5 raised gamma_u's "bound out of regime" at another point, with
+    another log argument in the message, and 7 that raised it there
+    returned here.
     """
     column_at = _column_maker(src, ch, det, mode, sec, n_sent, n_received)
-    best: tuple[float, float, float, object] | None = None
-    for p_xs, atts in _round_grids(cfg, mode, fixed_p_x, fixed_att, lambda: best[1:3]):
-        for att in atts:
-            column = column_at(att)
-            # a screened column is all zero: only its top p_x can win the tie-break
-            for p_x in p_xs[-1:] if column.screened() else p_xs:
-                found = column.evaluate(p_x, None if best is None else best[:3])
-                if found is not None and (best is None or (found[0], p_x, att) > best[:3]):
-                    best = (found[0], p_x, att, found[1])
-
-    rate, p_x, att, result = best
+    best = None
+    for best in _positive_incumbents(column_at, cfg, mode, fixed_p_x=fixed_p_x,
+                                     fixed_att=fixed_att):
+        pass
+    if best is None:  # every grid rate is zero: the tie-break point wins
+        p_x = cfg.p_x_range[1] if fixed_p_x is None else fixed_p_x
+        att = cfg.att_range[1] if fixed_att is None else fixed_att
+        rate, result = column_at(att).evaluate(p_x)
+    else:
+        rate, p_x, att, result = best
     return OptimizedPoint(
         p_x=p_x, att=att, rate_per_pulse=rate, rate_bps=rate * src.rep_rate, result=result,
     )
-
-
-def _positive_point(
-    src: SourceModel, ch: ChannelModel, det: DetectorModel, cfg: OptimizationConfig, *,
-    mode: str, sec: SecurityParams, n_sent: float | None,
-    fixed_p_x: float | None = None, fixed_att: float | None = None,
-    warm: tuple[float, float] | None = None,
-) -> tuple[float, float] | None:
-    """A positive-rate grid point (p_x, att) if optimize_point's rate is positive, else None.
-
-    Exactly optimize_point(...).rate_per_pulse > 0 for the same arguments.
-    While every rate it has seen is zero, optimize_point walks the rounds
-    of _round_grids without an incumbent. That point set does not depend
-    on the operating point, and the optimum is positive exactly when one
-    of its points is, so the points may be tried in any order and the
-    search stops at the first positive one. warm, a point an earlier call
-    with the same cfg, mode and pins returned, is tried first; a point
-    from outside the set could answer "yes" where the grid says "no".
-
-    Columns and points that a bound proves zero are skipped without
-    evaluating the rate (_FiniteColumn.screened, and _FiniteColumn.evaluate
-    against a zero rate that wins every tie). So an evaluation that would
-    raise there, such as gamma_u out of its regime at a large eps, does not
-    raise here.
-    """
-    column_at = _column_maker(src, ch, det, mode, sec, n_sent, None)
-    grids = _round_grids(cfg, mode, fixed_p_x, fixed_att)
-    if warm is not None:
-        grids = itertools.chain([([warm[0]], [warm[1]])], grids)
-    for p_xs, atts in grids:
-        for att in atts:
-            column = column_at(att)
-            if column.screened():
-                continue
-            for p_x in p_xs:
-                found = column.evaluate(p_x, _ZERO_WINNING_TIES)
-                if found is not None and found[0] > 0.0:
-                    return p_x, att
-    return None
 
 
 def max_tolerable_loss(
@@ -350,33 +343,28 @@ def max_tolerable_loss(
     Bisects the loss axis, re-optimizing (p_x, att) at every probe when
     optimize_params is set, otherwise evaluating standard BB84 (p_x = 1/2,
     no pre-attenuation). A probe only asks whether the optimized rate is
-    positive (_positive_point), starting from the last positive point. If
-    the optimized rate is nonincreasing in loss, the rate is positive at
-    boundary - tol and zero at boundary + tol on return; the bisection
-    rests on that monotonicity, which short finite blocks can break near
-    the boundary. If the rate is still positive at the configured cap, the
-    cap itself is returned.
+    positive: it walks optimize_point's search and stops at its first
+    positive incumbent, so it answers exactly
+    optimize_point(...).rate_per_pulse > 0. If the optimized rate is
+    nonincreasing in loss, the rate is positive at boundary - tol and zero
+    at boundary + tol on return; the bisection rests on that monotonicity,
+    which short finite blocks can break near the boundary. If the rate is
+    still positive at the configured cap, the cap itself is returned.
 
     Raises:
         NoPositiveRateError: if the rate is zero already at 0 dB.
     """
     fixed = {} if optimize_params else {"fixed_p_x": 0.5, "fixed_att": 1.0}
-    warm = None
 
     def positive_at(loss_db: float) -> bool:
-        nonlocal warm
-        point = _positive_point(src, ChannelModel(loss_db=loss_db), det, cfg, mode=mode,
-                                sec=sec, n_sent=n_sent, warm=warm, **fixed)
-        if point is None:
-            return False
-        warm = point
-        return True
+        column_at = _column_maker(src, ChannelModel(loss_db=loss_db), det, mode, sec, n_sent,
+                                  None)
+        return next(_positive_incumbents(column_at, cfg, mode, **fixed), None) is not None
 
     if not positive_at(0.0):
         raise NoPositiveRateError("key rate is zero at 0 dB channel loss")
-    # a full optimization; its grid is almost always all zero, and there finite-mode
-    # branch-and-bound evaluates only the points that win the tie-break (32 of the
-    # default grid's 5,120)
+    # a full optimization; its grid is almost always all zero, and there it evaluates
+    # only the tie-break point (1 exact evaluation of the default grid's 5,120)
     if optimize_point(src, ChannelModel(loss_db=cfg.loss_cap_db), det, cfg, mode=mode, sec=sec,
                       n_sent=n_sent, **fixed).rate_per_pulse > 0.0:
         return cfg.loss_cap_db
@@ -393,7 +381,7 @@ def max_tolerable_loss(
 
 
 def run_sweep(
-    values: Iterable[float], point_at: Callable[[float], OptimizedPoint],
+    values:Iterable[float], point_at: Callable[[float], OptimizedPoint],
 ) -> list[tuple[OptimizedPoint, str]]:
     """Optimize one point per sweep value, in order: (point, status) pairs.
 

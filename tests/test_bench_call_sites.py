@@ -6,9 +6,9 @@ The table is read from the file, not imported, so the guard runs no
 benchmark code. The other tests pin the signatures and config fields that
 bench/worker.py and bench/tracer.py use, so a signature purge fails here
 instead of in a benchmark run, and the exact call counts of the default
-finite and asymptotic commands. Those counts are literals here: the
-reference_counts in bench/baseline.json still hold the finite count from
-before optimize_point's branch-and-bound (5,069 bdtrik calls).
+finite, asymptotic and maxloss commands. Those counts are literals here:
+the reference_counts in bench/baseline.json still hold the finite count
+from before optimize_point's branch-and-bound (5,069 bdtrik calls).
 """
 import ast
 import collections
@@ -102,7 +102,12 @@ def test_default_commands_keep_the_reference_counts(tmp_path, monkeypatch):
     monkeypatch.setattr(scipy.special, "bdtrik", counted("bdtrik", scipy.special.bdtrik))
     monkeypatch.setattr(optimize, "asymptotic_rate",
                         counted("asymptotic_rate", optimize.asymptotic_rate))
-    for command in ("finite", "asymptotic"):
+    per_command = {}
+    for command in ("finite", "asymptotic", "maxloss"):
+        calls.clear()
         assert cli.main([command, "--out", str(tmp_path / f"{command}.csv")]) == 0
-    assert calls["bdtrik"] == 219  # finite
-    assert calls["asymptotic_rate"] == 5772  # asymptotic
+        per_command[command] = dict(calls)
+    assert per_command["finite"] == {"bdtrik": 219}
+    assert per_command["asymptotic"] == {"asymptotic_rate": 5772}
+    # the loss search's walk: a regression shows here as a count, not only as time
+    assert per_command["maxloss"] == {"bdtrik": 17134}

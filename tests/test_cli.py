@@ -142,6 +142,23 @@ class TestFiniteCommand:
         rates = [float(r[header.index("rate_bps")]) for r in rows]
         assert rates == sorted(rates)
 
+    @pytest.mark.parametrize("line, block", [
+        ("block_sizes_received = nan", "n_received"),
+        ("block_sizes_received = inf", "n_received"),
+        ("block_sizes_received = -1", "n_received"),
+        ("acquisition_times_s = inf", "n_sent"),
+    ])
+    def test_block_that_is_not_finite_and_non_negative_is_an_error_row(self, tmp_path, line,
+                                                                        block):
+        # such a block once gave an "ok" row with NaN or inf counts
+        cfg = write(tmp_path / "run.ini", FAST_OPT + f"[finite]\n{line}\n")
+        out = tmp_path / "fin.csv"
+        assert main(["finite", "--config", cfg, "--out", str(out)]) == 0
+        _, header, rows = read_result_csv(str(out))
+        assert rows[0][header.index("status")].startswith(
+            f"error: {block} must be finite and >= 0")
+        assert float(rows[0][header.index("rate_bps")]) == 0.0
+
     def test_att_grid_ends_on_its_range_end(self, tmp_path):
         # at att_min = 0.08 a 4-point grid once rounded its top to 1.0000000000000002
         cfg = write(tmp_path / "run.ini",

@@ -40,12 +40,12 @@ CASES = {
     "finite_block_size_csv": (
         "finite", "[channel]\nloss_db = 10\n"
                   "[finite]\nblock_sizes_received = -1,1e4,1e6,1e8,1e10\n", "csv",
-        "d9333edca9e6e11d44e4a6c5e23dcbf196cddd61592bd0750fbabc81bd26d113",
+        "c8e505186154b9b128b868a76901812395ef9787959985775e980441e656d62a",
     ),
     "finite_block_size_json": (
         "finite", "[channel]\nloss_db = 10\n"
                   "[finite]\nblock_sizes_received = -1,1e4,1e6,1e8,1e10\n", "json",
-        "b16c499755e3087624aafcd5f4d476f5894f165ee7151c73e1661cb60d0f22a3",
+        "ea886689caffda7a7b10b6abb7b9e80cf8f4ba6894acdeae003c057a18478f91",
     ),
     "maxloss_csv": (
         "maxloss", "", "csv",

@@ -147,6 +147,38 @@ class TestOptimizePoint:
         with pytest.raises(ValueError):
             optimize_point(source, ChannelModel(0.0), detector, fast_opt, mode="other")
 
+    @pytest.mark.parametrize("block", ["n_sent", "n_received"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_rejects_a_block_that_is_not_finite_and_non_negative(
+            self, source, detector, fast_opt, block, value):
+        with pytest.raises(ValueError, match=f"^{block} must be finite and >= 0, got {value}$"):
+            optimize_point(source, ChannelModel(0.0), detector, fast_opt, mode="finite",
+                           **{block: value})
+
+    def test_all_zero_grid_computes_one_key_length(self, source, detector, monkeypatch):
+        # at the default loss cap every column is screened: the walk finds no
+        # positive point, and the tie-break point's key length is the only one
+        calls = 0
+        original = optimize.finite_key_length
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(optimize, "finite_key_length", counted)
+        cfg = OptimizationConfig()
+        ch = ChannelModel(cfg.loss_cap_db)
+        n_sent = source.rep_rate * 60.0
+        point = optimize_point(source, ch, detector, cfg, mode="finite", n_sent=n_sent)
+        assert calls == 1
+        assert (point.rate_per_pulse, point.p_x, point.att) == (0.0, cfg.p_x_range[1], 1.0)
+        p_c, p_e = click_error_probs(source, ch, detector, 1.0)
+        counts = expected_counts(source, ch, detector,
+                                 ProtocolParams(p_x=cfg.p_x_range[1], att=1.0), n_sent)
+        top = original(counts, SecurityParams(), p_e / p_c, f_ec(p_e / p_c))
+        assert repr(point.result) == repr(top)
+
     def test_internal_counts_match_expected_counts(self, source, detector, fast_opt):
         ch = ChannelModel(19.04)
         point = optimize_point(source, ch, detector, fast_opt, mode="finite",
@@ -213,7 +245,7 @@ class TestMaxTolerableLoss:
         # once lo and hi are adjacent doubles the midpoint equals one of them;
         # the search must stop there instead of probing forever
         probes = 0
-        original = optimize._positive_point
+        original = optimize._positive_incumbents
 
         def counted(*args, **kwargs):
             nonlocal probes
@@ -222,7 +254,7 @@ class TestMaxTolerableLoss:
                 raise AssertionError("loss bisection does not terminate")
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(optimize, "_positive_point", counted)
+        monkeypatch.setattr(optimize, "_positive_incumbents", counted)
         tiny = dict(grid_resolution=6, refinement_rounds=1)
         exact = max_tolerable_loss(source, detector,
                                    OptimizationConfig(**tiny, loss_bisection_tol_db=1e-300),
@@ -273,40 +305,31 @@ class TestLossProbe:
            shrink_factor=st.floats(1.5, 6.0), mode=st.sampled_from(["asymptotic", "finite"]),
            log_n_sent=st.floats(4.0, 12.0),
            pins=st.none() | st.tuples(st.floats(0.5, 0.999), st.floats(0.01, 1.0)),
-           loss=st.floats(0.0, 35.0), warm_share=st.floats(0.0, 1.0))
+           loss=st.floats(0.0, 35.0))
     def test_probe_answers_whether_the_optimum_is_positive(
             self, src, det, sec, p_x_range, att_range, grid_resolution, refinement_rounds,
-            shrink_factor, mode, log_n_sent, pins, loss, warm_share):
+            shrink_factor, mode, log_n_sent, pins, loss):
         cfg = OptimizationConfig(p_x_range=tuple(p_x_range), att_range=tuple(att_range),
                                  grid_resolution=grid_resolution,
                                  refinement_rounds=refinement_rounds,
                                  shrink_factor=shrink_factor)
-        kw = dict(mode=mode, sec=sec, n_sent=10.0**log_n_sent if mode == "finite" else None)
-        if pins is not None:
-            kw.update(fixed_p_x=pins[0], fixed_att=pins[1])
-
-        def probe(loss_db, warm=None):
-            return optimize._positive_point(src, ChannelModel(loss_db), det, cfg, warm=warm,
-                                            **kw)
-
+        n_sent = 10.0**log_n_sent if mode == "finite" else None
+        pinned = {} if pins is None else {"fixed_p_x": pins[0], "fixed_att": pins[1]}
+        kw = dict(mode=mode, sec=sec, n_sent=n_sent, **pinned)
         try:
             positive = optimize_point(src, ChannelModel(loss), det, cfg,
                                       **kw).rate_per_pulse > 0.0
         except (ValueError, ArithmeticError):
             return  # the models reject this operating point
-        point = probe(loss)
-        assert (point is not None) == positive
-        if point is not None:
+        # the probe of max_tolerable_loss: the walk's first positive incumbent
+        column_at = optimize._column_maker(src, ChannelModel(loss), det, mode, sec, n_sent, None)
+        first = next(optimize._positive_incumbents(column_at, cfg, mode, **pinned), None)
+        assert (first is not None) == positive
+        if first is not None:
             # the answer is a grid point whose own rate is positive
             alone = optimize_point(src, ChannelModel(loss), det, cfg, **{
-                **kw, "fixed_p_x": point[0], "fixed_att": point[1]})
+                **kw, "fixed_p_x": first[1], "fixed_att": first[2]})
             assert alone.rate_per_pulse > 0.0
-        try:
-            warm = probe(loss * warm_share)
-        except (ValueError, ArithmeticError):
-            return
-        # a positive point found at a lower loss in the same search, tried first
-        assert (probe(loss, warm) is not None) == positive
 
     @settings(max_examples=200, deadline=None)
     @given(src=sources, det=detectors, sec=securities, loss=st.floats(0.0, 35.0),
