@@ -3,10 +3,10 @@
 bench/tracer.py patches each (module, attribute) binding in its CALL_SITES
 table; a refactor that renames or removes one breaks traced runs silently.
 The table is read from the file, not imported, so the guard runs no
-benchmark code. The other tests pin the signatures and config fields that
-bench/worker.py and bench/tracer.py use, so a signature purge fails here
-instead of in a benchmark run, and the exact call counts of the default
-finite, asymptotic and maxloss commands. Those counts are literals here:
+benchmark code. The other tests pin the signatures, config fields and call
+paths that bench/worker.py and bench/tracer.py use, so a signature purge
+fails here instead of in a benchmark run, and the exact call counts of the
+default finite, asymptotic and maxloss commands. Those counts are literals here:
 the reference_counts in bench/baseline.json still hold the finite count
 from before optimize_point's branch-and-bound (5,069 bdtrik calls).
 """
@@ -71,6 +71,26 @@ def test_max_tolerable_loss_makes_an_optimize_point_call_per_boundary(monkeypatc
     optimize.max_tolerable_loss(cfg.source, cfg.detector, tiny, mode="asymptotic",
                                 optimize_params=False)
     assert set(calls) == {("finite", None), ("asymptotic", None), ("asymptotic", 1.0)}
+
+
+def test_run_oracle_suite_makes_a_sample_session_call_per_loss(monkeypatch):
+    # the tracer's sample_session calls and pulses_per_s come from this binding
+    from bb84rate import mc_oracle
+    from bb84rate.config import load_config
+    cfg = load_config(None)
+    calls = []
+    original = mc_oracle.sample_session
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].loss_db)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mc_oracle, "sample_session", counted)
+    losses = (0.0, 10.0, 20.0)
+    mc_oracle.run_oracle_suite(cfg.source, cfg.detector, cfg.protocol,
+                               mc_oracle.TrialConfig(seed=1, n_pulses=1000), losses,
+                               chernoff_trials=1000, sampling_trials=1)
+    assert calls == list(losses)
 
 
 def test_worker_config_fields_exist():

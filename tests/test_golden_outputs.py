@@ -51,6 +51,14 @@ CASES = {
         "maxloss", "", "csv",
         "cf32ffc3dcc2c0e789c80e2cf19ad8d5a40638325d85402c48b110dc7d9155bb",
     ),
+    # three sampler chunks, the last one partial; att < 1 and p_x = 0.9 make
+    # every row matter, and the two losses give both densely drawn and sparse rows
+    "oracle_json": (
+        "oracle", "[oracle]\nn_pulses = 2500000\nlosses_db = 0,30\n"
+                  "chernoff_trials = 1000\nsampling_trials = 1\n"
+                  "[protocol]\natt = 0.5\np_x = 0.9\n", "json",
+        "54ba99e27d1747599585f8b34bf471a4e25e9651cbed0decfda81a9355f716ab",
+    ),
 }
 
 # The tiny grid's top values are exact, so it cannot see a change at a grid

@@ -1,11 +1,15 @@
 import math
+import random
 
+import numpy as np
 import pytest
 
+from bb84rate import mc_oracle
 from bb84rate import (ChannelModel, DetectorModel, ProtocolParams, SourceModel, TrialConfig,
                       chernoff_coverage, chernoff_upper, click_error_probs, gamma_u,
                       sample_session, sampling_bound_coverage)
-from bb84rate.mc_oracle import check_eps_test, run_oracle_suite
+from bb84rate.mc_oracle import SampledSession, check_eps_test, run_oracle_suite
+from bb84rate.models import _raw_click_error_probs, dead_time_corrected_click
 
 
 def _protocol():
@@ -63,6 +67,80 @@ class TestSampleSession:
         sigma = max(math.sqrt(expected), 1.0)
         assert abs(session.n_mp_x - expected) <= 5 * sigma
         assert abs(session.n_mp_z - expected) <= 5 * sigma
+
+
+def dense_reference_session(src, ch, det, protocol, trial):
+    """Reference sampler: draws each chunk of the same stream as one dense (10, m) block."""
+    _, p1, p2 = src.photon_probs
+    f, _ = _raw_click_error_probs(src, ch, det, protocol.att)
+    p_c = dead_time_corrected_click(f, src.rep_rate, det.dead_time)
+    c_dt = p_c / f if f > 0.0 else 1.0
+    s_cd = ch.transmittance * det.det_efficiency
+
+    rng = np.random.default_rng(trial.seed)
+    tallies = np.zeros(8, dtype=np.int64)  # clicks, errors, rx_x, rx_z, m_x, m_z, mp_x, mp_z
+    remaining = trial.n_pulses
+    while remaining > 0:
+        m = min(remaining, mc_oracle._CHUNK)
+        remaining -= m
+        u = rng.random((10, m))
+        n_emit = (u[0] < p1 + p2).astype(np.int8) + (u[0] < p2)
+        n_chan = ((u[1] < protocol.att) & (n_emit >= 1)).astype(np.int8) \
+            + ((u[2] < protocol.att) & (n_emit >= 2))
+        n_det = ((u[3] < s_cd) & (n_chan >= 1)).astype(np.int8) \
+            + ((u[4] < s_cd) & (n_chan >= 2))
+        dark = u[5] < det.dark_count_prob
+        click = ((n_det > 0) | dark) & (u[6] < c_dt)
+        err = click & np.where(n_det > 0, u[7] < det.misalignment, dark & (u[7] < 0.5))
+        alice_x = u[8] < protocol.p_x
+        bob_x = u[9] < protocol.p_x
+        both_x = alice_x & bob_x
+        both_z = ~alice_x & ~bob_x
+        multi = n_chan >= 2
+        tallies += (
+            int(click.sum()), int(err.sum()),
+            int((click & both_x).sum()), int((click & both_z).sum()),
+            int((err & both_x).sum()), int((err & both_z).sum()),
+            int((multi & both_x).sum()), int((multi & both_z).sum()),
+        )
+    return SampledSession(trial.n_pulses, *(int(t) for t in tallies))
+
+
+def random_session_inputs(rnd: random.Random, chunk: int):
+    """Models and a trial drawn across the sampler's regimes, small enough to run fast."""
+    mu = 0.0 if rnd.random() < 0.1 else 10.0 ** rnd.uniform(-2.0, math.log10(0.9))
+    g2 = rnd.choice((0.0, 1.0, rnd.random()))
+    src = SourceModel(mu, g2, 10.0 ** rnd.uniform(6.0, 9.0))
+    det = DetectorModel(det_efficiency=rnd.uniform(0.05, 1.0),
+                        dark_count_prob=rnd.choice(
+                            (0.0, 10.0 ** rnd.uniform(-7.0, math.log10(0.2)))),
+                        dead_time=rnd.choice((0.0, 10.0 ** rnd.uniform(-9.0, -6.0))),
+                        misalignment=rnd.choice((0.0, rnd.uniform(0.0, 0.5))))
+    protocol = ProtocolParams(p_x=rnd.uniform(0.5, 1.0),
+                              att=rnd.choice((1.0, rnd.uniform(0.05, 1.0))))
+    n_pulses = rnd.choice((1, 7, 2 * chunk, rnd.randrange(1, 3) * chunk + rnd.randrange(1, chunk)))
+    # low losses are drawn more often, so that most sessions click
+    return src, ChannelModel(35.0 * rnd.random() ** 2), det, protocol, \
+        TrialConfig(rnd.randrange(2**32), n_pulses)
+
+
+class TestSparseSampler:
+    # the jump cut-off at its value, forced to always draw, forced to always jump
+    @pytest.mark.parametrize("jump_fraction,draws", [(None, 300), (0.0, 100), (math.inf, 100)])
+    def test_matches_the_dense_sampler(self, monkeypatch, jump_fraction, draws):
+        monkeypatch.setattr(mc_oracle, "_CHUNK", 4096)
+        if jump_fraction is not None:
+            monkeypatch.setattr(mc_oracle, "_JUMP_FRACTION", jump_fraction)
+        rnd = random.Random(f"sparse-sampler:{jump_fraction}")
+        for _ in range(draws):
+            inputs = random_session_inputs(rnd, mc_oracle._CHUNK)
+            assert sample_session(*inputs) == dense_reference_session(*inputs), inputs
+
+    def test_default_chunk_matches_the_dense_sampler(self, source, detector):
+        # two full-size chunks and a partial one, at the baseline source
+        inputs = (source, ChannelModel(3.0), detector, ProtocolParams(p_x=0.8, att=0.7),
+                  TrialConfig(2024, 2 * mc_oracle._CHUNK + 12345))
+        assert sample_session(*inputs) == dense_reference_session(*inputs)
 
 
 class TestChernoffCoverage:
