@@ -31,7 +31,9 @@ def parse_values(text: str) -> list[float]:
         if len(parts) != 3:
             raise ConfigError(f"range must be start:stop:step, got {text!r}")
         start, stop, step = (float(p) for p in parts)
-        if step <= 0:
+        if math.isnan(start) or math.isnan(stop):
+            raise ConfigError(f"range start and stop must be numbers, got {text!r}")
+        if not step > 0:  # written so that NaN fails the check
             raise ConfigError(f"range step must be positive, got {step}")
         out = []
         v = start
@@ -46,7 +48,8 @@ def parse_values(text: str) -> list[float]:
     return [float(p) for p in text.split(",")]
 
 
-# section -> key -> (parser, default). None defaults mean "unset".
+# section -> key -> (parser, default). None defaults mean "unset"; a key that
+# sets a dataclass field reads that field's default.
 _SCHEMA: dict[str, dict[str, tuple]] = {
     "source": {
         "mean_photon_number": (float, 0.0142),
@@ -65,24 +68,24 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "loss_db": (float, None),
     },
     "protocol": {
-        "p_x": (float, 0.5),
-        "att": (float, 1.0),
+        "p_x": (float, ProtocolParams.p_x),
+        "att": (float, ProtocolParams.att),
     },
     "security": {
-        "eps_prime": (float, 1e-10 / 6.0),
-        "n_pe": (int, 2),
-        "eps_cor": (float, 1e-15),
+        "eps_prime": (float, SecurityParams.eps_prime),
+        "n_pe": (int, SecurityParams.n_pe),
+        "eps_cor": (float, SecurityParams.eps_cor),
     },
     "optimizer": {
-        "p_x_min": (float, 0.505),
-        "p_x_max": (float, 0.995),
-        "att_min": (float, 0.01),
-        "att_max": (float, 1.0),
-        "grid_resolution": (int, 32),
-        "refinement_rounds": (int, 4),
-        "shrink_factor": (float, 4.0),
-        "loss_bisection_tol_db": (float, 0.01),
-        "loss_cap_db": (float, 60.0),
+        "p_x_min": (float, OptimizationConfig.p_x_range[0]),
+        "p_x_max": (float, OptimizationConfig.p_x_range[1]),
+        "att_min": (float, OptimizationConfig.att_range[0]),
+        "att_max": (float, OptimizationConfig.att_range[1]),
+        "grid_resolution": (int, OptimizationConfig.grid_resolution),
+        "refinement_rounds": (int, OptimizationConfig.refinement_rounds),
+        "shrink_factor": (float, OptimizationConfig.shrink_factor),
+        "loss_bisection_tol_db": (float, OptimizationConfig.loss_bisection_tol_db),
+        "loss_cap_db": (float, OptimizationConfig.loss_cap_db),
     },
     "asymptotic": {
         "distances_km": (parse_values, [float(d) for d in range(0, 180, 5)]),
@@ -97,7 +100,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
     "oracle": {
         "seed": (int, 20240801),
         "n_pulses": (int, 10_000_000),
-        "eps_test": (float, 0.01),
+        "eps_test": (float, TrialConfig.eps_test),
         "chernoff_trials": (int, 100_000),
         "sampling_trials": (int, 10_000),
         "losses_db": (parse_values, [0.0, 10.0, 20.0, 30.0, 35.0]),

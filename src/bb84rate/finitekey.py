@@ -99,8 +99,9 @@ class SessionCounts:
 
     def __post_init__(self) -> None:
         for name in ("n_sent", "n_rx_x", "n_rx_z", "m_z", "n_mp_star_x", "n_mp_star_z"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            # written so that NaN fails the check
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if self.m_z > self.n_rx_z * (1.0 + 1e-12):
             raise ValueError(f"m_z ({self.m_z}) cannot exceed n_rx_z ({self.n_rx_z})")
 
@@ -179,8 +180,8 @@ def chernoff_upper(expected: float, eps: float) -> float:
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
-    if expected < 0.0:
-        raise ValueError(f"expected count must be >= 0, got {expected}")
+    if not 0.0 <= expected < math.inf:  # written so that NaN fails the check
+        raise ValueError(f"expected count must be finite and >= 0, got {expected}")
     beta = -math.log(eps)
     if expected == 0.0:
         return beta
@@ -196,12 +197,12 @@ def gamma_u(n: float, k: float, observed_rate: float, eps: float) -> float:
     probability at most eps. Valid for observed rates in (0, 0.5).
 
     Raises:
-        ValueError: if the rate is outside (0, 0.5), n or k < 1, eps is
-            outside (0, 1), or the bound's log factor is non-positive
-            (outside the formula's regime).
+        ValueError: if the rate is outside (0, 0.5), n or k is not finite
+            and >= 1, eps is outside (0, 1), or the bound's log factor is
+            non-positive (outside the formula's regime).
     """
-    if n < 1.0 or k < 1.0:
-        raise ValueError(f"n and k must be >= 1, got n={n}, k={k}")
+    if not (1.0 <= n < math.inf and 1.0 <= k < math.inf):  # NaN fails the check
+        raise ValueError(f"n and k must be finite and >= 1, got n={n}, k={k}")
     if not 0.0 < observed_rate < 0.5:
         raise ValueError(f"observed_rate must be in (0, 0.5), got {observed_rate}")
     if not 0.0 < eps < 1.0:

@@ -6,9 +6,12 @@ shrinking-grid refinement around the incumbent, the lexicographic maximum
 of (rate, p_x, att). Only a positive point becomes the incumbent: a search
 whose every rate is zero returns the tie-break point, the top of the
 ranges, so its windows shrink around that corner. In finite mode the
-search is a branch-and-bound over the grid: a column whose asymptotic
-bracket proves every key length zero is skipped, and so is a point whose
-upper bound on the key length cannot beat the incumbent, before its exact
+search is a branch-and-bound over the grid with two upper bounds on the
+key length. The bound from a column's asymptotic bracket never falls as
+p_x rises, so it cuts each column once: the walk starts at the first p_x
+whose bound may beat the incumbent, and a column whose bracket proves
+every key length zero keeps no point. Each remaining point whose
+practical-leak bound cannot beat the incumbent is skipped before its exact
 key length and so before the F^-1 of lambda_ec. A skipped point could
 never have become the incumbent, so the result is that of evaluating every
 grid point.
@@ -117,8 +120,9 @@ class _AsymptoticColumn:
         res = asymptotic_rate(self.src, self.ch, self.det, ProtocolParams(p_x=p_x, att=self.att))
         return res.rate_per_pulse, res
 
-    def screened(self) -> bool:
-        return False
+    def candidates(self, p_xs: list[float], to_beat: tuple[float, float, float]) -> list[float]:
+        """Every p_x: the closed-form rate needs no bound."""
+        return p_xs
 
 
 # Slack of the column bound, relative to the scale n*p_x^2*p_c of the terms of ell
@@ -156,16 +160,13 @@ class _FiniteColumn:
         """The point's (rate, result); None if a bound proves (rate, p_x, att) <= to_beat.
 
         Such a point cannot win the (rate, p_x, att) tie-break against
-        to_beat. The bounds on ell, cheapest first: the column bound of
-        screened(), widened by _BOUND_SLACK times n*p_x^2*p_c, far above the
-        few roundings in each term of ell; then practical_key_length. Only
-        a point that passes both gets the exact key length, with the F^-1
-        of lambda_ec.
+        to_beat. The bound is practical_key_length, which needs no F^-1;
+        only a point that passes it gets the exact key length, with the
+        F^-1 of lambda_ec. The walk passes only the points of candidates(),
+        the cheaper bracket cut, to this bound.
         """
         if self.p_c <= 0.0:
             return 0.0, None
-        if to_beat is not None and not self._beats(self.ell_bound(p_x), p_x, to_beat):
-            return None
         counts = self.counts(p_x)
         if to_beat is not None and not self._beats(
                 practical_key_length(counts, self.sec, self.e_x, self.fec), p_x, to_beat):
@@ -174,18 +175,7 @@ class _FiniteColumn:
         return res.rate, res
 
     def ell_bound(self, p_x: float) -> float:
-        """The column bound of screened() on ell at p_x, widened by _BOUND_SLACK."""
-        scale = self.n_sent * p_x * p_x * self.p_c
-        return max(0.0, scale * (self.bracket + _BOUND_SLACK) - self.consts)
-
-    def _beats(self, ell_bound: float, p_x: float, to_beat: tuple[float, float, float]) -> bool:
-        """Whether a point of this column with ell <= ell_bound may beat to_beat."""
-        # the rate rule of FiniteKeyResult
-        rate_bound = ell_bound / self.n_sent if self.n_sent > 0.0 else 0.0
-        return (rate_bound, p_x, self.att) > to_beat
-
-    def screened(self) -> bool:
-        """True when every p_x of the column has ell = 0 (column screen).
+        """Upper bound on ell at p_x from the column's asymptotic bracket.
 
         With A = (p_c - p_m)/p_c, e = p_e/p_c and n pulses sent, the
         Chernoff caps are at least their expectations, so
@@ -198,9 +188,35 @@ class _FiniteColumn:
             ell <= n*p_x^2*p_c*bracket - 2*log2(1/(2*eps_pa)) - log2(2/eps_cor).
 
         The subtracted constant exceeds -1 for all eps_pa, eps_cor in
-        (0, 1), so a bracket <= 0 gives ell = 0 at every p_x.
+        (0, 1), so a bracket <= 0 gives ell = 0 at every p_x. The bound
+        returned is widened by _BOUND_SLACK times n*p_x^2*p_c, far above
+        the few roundings in each term of ell.
         """
-        return self.p_c <= 0.0 or self.bracket <= 0.0
+        scale = self.n_sent * p_x * p_x * self.p_c
+        return max(0.0, scale * (self.bracket + _BOUND_SLACK) - self.consts)
+
+    def _beats(self, ell_bound: float, p_x: float, to_beat: tuple[float, float, float]) -> bool:
+        """Whether a point of this column with ell <= ell_bound may beat to_beat."""
+        # the rate rule of FiniteKeyResult
+        rate_bound = ell_bound / self.n_sent if self.n_sent > 0.0 else 0.0
+        return (rate_bound, p_x, self.att) > to_beat
+
+    def candidates(self, p_xs: list[float], to_beat: tuple[float, float, float]) -> list[float]:
+        """The suffix of the ascending p_xs whose ell_bound may beat to_beat (bracket cut).
+
+        ell_bound, the rate rule of _beats and p_x never fall along p_xs,
+        since each floating-point step in them is monotone, so once a point
+        may beat to_beat every later point may too. A point of the column
+        that becomes the incumbent has a rate no higher than its own
+        ell_bound, so every later point still may beat that incumbent: no
+        point past the cut would fail the bound. A bracket <= 0 proves
+        ell = 0 at every p_x (ell_bound), so such a column keeps no point.
+        """
+        if self.p_c > 0.0 and self.bracket > 0.0:
+            for i, p_x in enumerate(p_xs):
+                if self._beats(self.ell_bound(p_x), p_x, to_beat):
+                    return p_xs[i:]
+        return []
 
 
 def _column_maker(
@@ -264,19 +280,17 @@ def _positive_incumbents(
 
     The incumbent starts as a zero rate that wins every tie, so only a
     positive point replaces it, and while there is none the windows shrink
-    around the top corner. A screened column is skipped, and in finite mode
-    so is every point whose bound cannot beat the incumbent in the
-    (rate, p_x, att) tie-break (_FiniteColumn.evaluate). The last value
-    yielded is the optimum; none is yielded exactly when every grid point
-    has rate zero.
+    around the top corner. Each column offers only its candidates(), and in
+    finite mode a point whose practical-leak bound cannot beat the
+    incumbent in the (rate, p_x, att) tie-break is skipped too
+    (_FiniteColumn.evaluate). The last value yielded is the optimum; none
+    is yielded exactly when every grid point has rate zero.
     """
     best = _ZERO_WINNING_TIES
     for p_xs, atts in _round_grids(cfg, mode, fixed_p_x, fixed_att, lambda: best[1:3]):
         for att in atts:
             column = column_at(att)
-            if column.screened():
-                continue
-            for p_x in p_xs:
+            for p_x in column.candidates(p_xs, best[:3]):
                 found = column.evaluate(p_x, best[:3])
                 if found is not None and (found[0], p_x, att) > best[:3]:
                     best = (found[0], p_x, att, found[1])

@@ -359,6 +359,14 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert "[asymptotic] distances_km" in err and "100000" in err
 
+    @pytest.mark.parametrize("text", ["0:175:nan", "0:nan:5", "nan:10:1"])
+    def test_nan_range_rejected(self, tmp_path, capsys, text):
+        # these once gave one row, or none, with exit code 0
+        cfg = write(tmp_path / "run.ini", f"[asymptotic]\ndistances_km = {text}\n")
+        assert main(["asymptotic", "--config", cfg, "--out", "-"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "[asymptotic] distances_km" in err
+
     def test_mutually_exclusive_channel_keys(self, tmp_path):
         cfg = write(tmp_path / "run.ini", "[channel]\ndistance_km = 10\nloss_db = 5\n")
         assert main(["finite", "--config", cfg, "--out", "-"]) == 1

@@ -71,6 +71,12 @@ class TestChernoffUpper:
         with pytest.raises(ValueError):
             chernoff_upper(-1.0, 0.5)
 
+    @pytest.mark.parametrize("expected", [math.nan, math.inf])
+    def test_rejects_nan_and_inf_expectations(self, expected):
+        # both once returned a NaN bound
+        with pytest.raises(ValueError, match="^expected count must be finite and >= 0"):
+            chernoff_upper(expected, 1e-3)
+
 
 class TestExpectedCounts:
     def test_zero_pulses(self, source, detector):
@@ -146,6 +152,14 @@ class TestGammaU:
         # log factor <= 0: huge populations with a large tail probability
         with pytest.raises(ValueError):
             gamma_u(1e6, 1e6, 0.25, 0.5)
+
+    @pytest.mark.parametrize("n, k", [(math.nan, 100.0), (100.0, math.nan),
+                                      (math.inf, 100.0), (100.0, math.inf)])
+    def test_rejects_nan_and_inf_sample_sizes(self, n, k):
+        # each once returned a NaN correction, which phase_error_upper
+        # clamped to 1/2 without a word
+        with pytest.raises(ValueError, match="^n and k must be finite and >= 1"):
+            gamma_u(n, k, 0.01, 1e-3)
 
     def test_tiny_rates_stay_finite(self):
         # below the smallest normal double the log argument's denominator
@@ -274,6 +288,17 @@ class TestLambdaEc:
             lambda_ec(1e6, 0.5, 1e-15, f_ec(0.5))
         with pytest.raises(ValueError):
             lambda_ec(0.0, 0.02, 1e-15, f_ec(0.02))
+
+
+class TestSessionCounts:
+    @pytest.mark.parametrize("field", range(6))
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_nan_and_inf_tallies(self, security, field, value):
+        # a NaN n_sent once gave ell = 810273 with rate 0.0
+        tallies = [1e9, 1e6, 1e5, 1e3, 10.0, 1.0]
+        tallies[field] = value
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            finite_key_length(SessionCounts(*tallies), security, 0.01, f_ec(0.01))
 
 
 class TestFiniteKeyLength:

@@ -156,7 +156,7 @@ class TestOptimizePoint:
                            **{block: value})
 
     def test_all_zero_grid_computes_one_key_length(self, source, detector, monkeypatch):
-        # at the default loss cap every column is screened: the walk finds no
+        # at the default loss cap no column keeps a point: the walk finds no
         # positive point, and the tie-break point's key length is the only one
         calls = 0
         original = optimize.finite_key_length
@@ -346,7 +346,7 @@ class TestLossProbe:
             return
         consts = 2.0 * math.log2(1.0 / (2.0 * sec.eps_pa)) + math.log2(2.0 / sec.eps_cor)
         assert ell <= max(0.0, n_sent * p_x**2 * column.p_c * column.bracket - consts)
-        if column.screened():
+        if column.candidates([p_x], optimize._ZERO_WINNING_TIES) == []:
             assert ell == 0
 
 
@@ -396,13 +396,73 @@ class TestBranchAndBound:
             return  # the models reject a grid point
         assert repr(optimize_point(src, ChannelModel(loss), det, cfg, **kw)) == repr(reference)
 
+    @settings(max_examples=300, deadline=None)
+    @given(src=sources, det=detectors, sec=securities, loss=st.floats(0.0, 35.0),
+           att=st.floats(0.01, 1.0), log_n_sent=st.floats(4.0, 13.0),
+           p_x_range=st.lists(st.floats(0.501, 0.999), min_size=2, max_size=2).map(sorted),
+           grid_resolution=st.integers(2, 32),
+           beat=st.none() | st.tuples(st.floats(0.0, 1.5), st.floats(0.5, 1.0),
+                                      st.floats(0.01, 1.0)))
+    def test_bracket_cut_is_the_per_point_rule(self, src, det, sec, loss, att, log_n_sent,
+                                               p_x_range, grid_resolution, beat):
+        try:
+            column = optimize._FiniteColumn(src, ChannelModel(loss), det, att, sec,
+                                            10.0**log_n_sent, None)
+        except (ValueError, ArithmeticError):
+            return
+        p_xs = optimize._linspace(*p_x_range, grid_resolution)
+        screened = column.p_c <= 0.0 or column.bracket <= 0.0
+        # the walk's incumbent is a positive rate or the zero that wins every tie;
+        # a drawn rate is a fraction of the column's largest rate bound
+        to_beat = optimize._ZERO_WINNING_TIES
+        if beat is not None and not screened:
+            rate = beat[0] * column.ell_bound(p_xs[-1]) / column.n_sent
+            if rate > 0.0:
+                to_beat = (rate, beat[1], beat[2])
+        # the rule the cut replaces: skip a screened column, else test every point
+        kept = [] if screened else [p_x for p_x in p_xs
+                                    if column._beats(column.ell_bound(p_x), p_x, to_beat)]
+        cut = column.candidates(p_xs, to_beat)
+        assert cut == kept
+        assert cut == p_xs[len(p_xs) - len(cut):]
+        # past the cut the per-point bracket check never prunes, whichever
+        # candidate becomes the incumbent
+        best = to_beat
+        for p_x in cut:
+            assert column._beats(column.ell_bound(p_x), p_x, best)
+            try:
+                found = column.evaluate(p_x, best)
+            except (ValueError, ArithmeticError):
+                return
+            if found is not None and (found[0], p_x, att) > best:
+                best = (found[0], p_x, att)
+
+    def test_bracket_cut_keeps_the_column_screen(self, source):
+        # a bracket of exactly 0 proves ell = 0 at every p_x, although the
+        # slack of ell_bound leaves the bound positive at a large block
+        sec = SecurityParams(eps_prime=1e-6, eps_cor=1e-6)
+
+        def column(misalignment):
+            det = DetectorModel(0.6525, 1.47e-7, 27.5e-9, misalignment)
+            return optimize._FiniteColumn(source, ChannelModel(0.0), det, 1.0, sec, 1e13, None)
+
+        lo, hi = 0.0, 0.2  # bracket > 0 at lo, <= 0 at hi
+        while lo < 0.5 * (lo + hi) < hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if column(mid).bracket > 0.0 else (lo, mid)
+        edge = column(hi)
+        p_xs = optimize._linspace(0.505, 0.995, 32)
+        assert edge.bracket <= 0.0 < edge.ell_bound(p_xs[-1])
+        assert edge.candidates(p_xs, optimize._ZERO_WINNING_TIES) == []
+        assert all(edge.evaluate(p_x)[0] == 0.0 for p_x in p_xs)
+
     @settings(max_examples=200, deadline=None)
     @given(src=sources, det=detectors, sec=securities, loss=st.floats(0.0, 35.0),
            att=st.floats(0.01, 1.0), p_x=st.floats(0.5, 0.999),
            log_n_sent=st.floats(4.0, 13.0))
     def test_point_bounds_dominate_the_key_length(self, src, det, sec, loss, att, p_x,
                                                   log_n_sent):
-        # the bounds evaluate() prunes with, cheapest first: column bound >=
+        # the bounds the walk prunes with, cheapest first: column bound >=
         # practical_key_length >= ell, with equality where the practical leak wins
         try:
             column = optimize._FiniteColumn(src, ChannelModel(loss), det, att, sec,
