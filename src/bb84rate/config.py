@@ -183,7 +183,8 @@ def load_config(path: str | None = None) -> RunConfig:
     for section, key in (("asymptotic", "distances_km"), ("finite", "acquisition_times_s"),
                          ("finite", "block_sizes_received")):
         values = resolved[section][key]
-        if values is not None and any(b <= a for a, b in zip(values, values[1:])):
+        # written so that a NaN fails the check
+        if values is not None and any(not a < b for a, b in zip(values, values[1:])):
             raise ConfigError(f"[{section}] {key} must be strictly increasing")
     for t in resolved["maxloss"]["acquisition_times_s"]:
         if not 0.0 <= t < math.inf:

@@ -7,12 +7,21 @@ observed parameter-estimation error rate to an upper bound on the phase
 error rate of the unobserved key rounds. Error-correction leakage is the
 larger of the finite-block information-theoretic bound and the practical
 f_EC * n * H(e) cost.
+
+Each public bound checks its inputs and wraps an unchecked float core
+(_tallies, _chernoff, _phase_upper, _estimates, _ell) that takes what it
+needs of SecurityParams as _Constants, derived once per SecurityParams.
+The optimizer's branch-and-bound calls the cores directly, so a pruned
+grid point builds no SessionCounts; the same operations in the same order
+give the same bits on either path.
 """
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from scipy import special as _sp
 
@@ -33,13 +42,22 @@ __all__ = [
 ]
 
 
+class _Constants(NamedTuple):
+    """What the bounds take of a SecurityParams."""
+
+    beta: float       # -ln(eps_pe): the exponent of both Chernoff caps
+    eps_gamma: float  # eps_sec/6: the failure probability of gamma_u
+    pa_bits: float    # 2*log2(1/(2*eps_pa)): privacy amplification's cost in ell
+    cor_bits: float   # log2(2/eps_cor): verification's cost in ell
+
+
 @dataclass(frozen=True)
 class SecurityParams:
     """Failure-probability budget for the composable security claim.
 
     All component failure probabilities derive from a single base value:
     privacy amplification and error correction each get eps_prime, and
-    parameter estimation gets 2 * n_pe * eps_prime for its n_pe
+    parameter estimation gets 2 * n_pe * eps_prime, below 1, for its n_pe
     constraints. The secrecy parameter is their sum, so for n_pe = 2 it
     equals 6 * eps_prime; the bounds spend 10 * eps_prime until ROADMAP
     item 2 fixes the split. Correctness is budgeted separately.
@@ -59,6 +77,9 @@ class SecurityParams:
             raise ValueError(f"eps_cor must be in (0, 1), got {self.eps_cor}")
         if self.n_pe < 1:
             raise ValueError(f"n_pe must be >= 1, got {self.n_pe}")
+        # the Chernoff caps take -ln(eps_pe), which must be positive
+        if not self.eps_pe < 1.0:
+            raise ValueError(f"eps_pe = 2 * n_pe * eps_prime must be < 1, got {self.eps_pe}")
 
     @property
     def eps_pa(self) -> float:
@@ -75,6 +96,13 @@ class SecurityParams:
     @property
     def eps_sec(self) -> float:
         return self.eps_pa + self.eps_pe + self.eps_ec
+
+    @functools.cached_property
+    def _constants(self) -> _Constants:
+        """The bounds' _Constants, derived on first use: the fields are frozen."""
+        return _Constants(-math.log(self.eps_pe), self.eps_sec / 6.0,
+                          2.0 * math.log2(1.0 / (2.0 * self.eps_pa)),
+                          math.log2(2.0 / self.eps_cor))
 
 
 @dataclass(frozen=True)
@@ -113,16 +141,21 @@ class SessionCounts:
         Sifted detections, parameter-estimation errors and multiphoton
         emissions each scale with the squared bias of their basis.
         """
-        px2 = p_x**2
-        pz2 = (1.0 - p_x) ** 2
-        return cls(
-            n_sent=n_sent,
-            n_rx_x=n_sent * px2 * p_click,
-            n_rx_z=n_sent * pz2 * p_click,
-            m_z=n_sent * pz2 * p_error,
-            n_mp_star_x=n_sent * px2 * p_multi,
-            n_mp_star_z=n_sent * pz2 * p_multi,
-        )
+        return cls(n_sent, *_tallies(n_sent, p_x, p_click, p_error, p_multi))
+
+    @property
+    def tallies(self) -> tuple[float, float, float, float, float]:
+        """(n_rx_x, n_rx_z, m_z, n_mp_star_x, n_mp_star_z), the inputs of the bounds."""
+        return self.n_rx_x, self.n_rx_z, self.m_z, self.n_mp_star_x, self.n_mp_star_z
+
+
+def _tallies(n_sent: float, p_x: float, p_click: float, p_error: float,
+             p_multi: float) -> tuple[float, float, float, float, float]:
+    """SessionCounts.tallies of SessionCounts.from_probs, unchecked."""
+    px2 = p_x**2
+    pz2 = (1.0 - p_x) ** 2
+    return (n_sent * px2 * p_click, n_sent * pz2 * p_click, n_sent * pz2 * p_error,
+            n_sent * px2 * p_multi, n_sent * pz2 * p_multi)
 
 
 @dataclass(frozen=True)
@@ -182,7 +215,11 @@ def chernoff_upper(expected: float, eps: float) -> float:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
     if not 0.0 <= expected < math.inf:  # written so that NaN fails the check
         raise ValueError(f"expected count must be finite and >= 0, got {expected}")
-    beta = -math.log(eps)
+    return _chernoff(expected, -math.log(eps))
+
+
+def _chernoff(expected: float, beta: float) -> float:
+    """chernoff_upper at beta = -ln(eps), unchecked."""
     if expected == 0.0:
         return beta
     delta = (beta + math.sqrt(8.0 * beta * expected + beta * beta)) / (2.0 * expected)
@@ -243,12 +280,18 @@ def phase_error_upper(counts: SessionCounts, n_nmp_z: float,
     """
     if n_nmp_z <= 0.0:
         raise ValueError("n_nmp_z must be positive; no key under this bound")
-    phi = counts.m_z / n_nmp_z
+    return _phase_upper(counts.n_rx_x, counts.n_rx_z, counts.m_z, n_nmp_z,
+                        sec._constants.eps_gamma)
+
+
+def _phase_upper(n_rx_x: float, n_rx_z: float, m_z: float, n_nmp_z: float,
+                 eps: float) -> float:
+    """phase_error_upper for n_nmp_z > 0, with gamma_u's eps = _Constants.eps_gamma."""
+    phi = m_z / n_nmp_z
     lam = phi if phi > 0.0 else 0.5 / n_nmp_z
     if lam >= 0.5:
         return 0.5
-    correction = gamma_u(counts.n_rx_x, counts.n_rx_z, lam, sec.eps_sec / 6.0)
-    return min(0.5, phi + correction)
+    return min(0.5, phi + gamma_u(n_rx_x, n_rx_z, lam, eps))
 
 
 def _binomial_cdf(m: int, n: int, q: float) -> float:
@@ -339,11 +382,12 @@ def finite_key_length(counts: SessionCounts, sec: SecurityParams,
     clamped at zero. Degenerate inputs (no detections, bound exhausted by
     multiphoton emissions) yield ell = 0 with the intermediates recorded.
     """
-    mp_upper_x, mp_upper_z, n_nmp_x, n_nmp_z, phi, phi_upper = _estimates(counts, sec)
+    consts = sec._constants
+    mp_upper_x, mp_upper_z, n_nmp_x, n_nmp_z, phi, phi_upper = _estimates(counts.tallies, consts)
     ell, leak = 0, 0.0
     if phi_upper < 0.5:
         leak = lambda_ec(counts.n_rx_x, e_x_for_ec, sec.eps_cor, f_ec_value)
-        ell = _ell(n_nmp_x, phi_upper, leak, sec)
+        ell = _ell(n_nmp_x, phi_upper, leak, consts)
     rate = ell / counts.n_sent if counts.n_sent > 0 else 0.0
     return FiniteKeyResult(
         ell=ell, rate=rate, counts=counts,
@@ -362,37 +406,47 @@ def practical_key_length(counts: SessionCounts, sec: SecurityParams,
     smaller; the key length falls as the leak grows, in floating point too,
     where each subtraction rounds monotonically.
     """
-    _, _, n_nmp_x, _, _, phi_upper = _estimates(counts, sec)
+    return _practical_ell(counts.tallies, sec._constants, f_ec_value,
+                          binary_entropy(e_x_for_ec))
+
+
+def _practical_ell(tallies: tuple[float, float, float, float, float], consts: _Constants,
+                   f_ec_value: float, h_e: float) -> int:
+    """practical_key_length of SessionCounts.tallies, with h_e = H(e_x_for_ec), unchecked."""
+    _, _, n_nmp_x, _, _, phi_upper = _estimates(tallies, consts)
     if phi_upper >= 0.5:
         return 0
-    return _ell(n_nmp_x, phi_upper, f_ec_value * counts.n_rx_x * binary_entropy(e_x_for_ec),
-                sec)
+    return _ell(n_nmp_x, phi_upper, f_ec_value * tallies[0] * h_e, consts)
 
 
-def _estimates(counts: SessionCounts,
-               sec: SecurityParams) -> tuple[float, float, float, float, float, float]:
-    """(n_mp_upper_x, n_mp_upper_z, n_nmp_x, n_nmp_z, phi_x, phi_x_upper) of the tallies.
+def _estimates(tallies: tuple[float, float, float, float, float],
+               consts: _Constants) -> tuple[float, float, float, float, float, float]:
+    """(n_mp_upper_x, n_mp_upper_z, n_nmp_x, n_nmp_z, phi_x, phi_x_upper) of SessionCounts.tallies.
 
     Both phase-error values are 1/2 where no key is possible: no
     non-multiphoton signal in a basis, or no key-basis detection.
     """
+    n_rx_x, n_rx_z, m_z, n_mp_star_x, n_mp_star_z = tallies
     # worst case, every multiphoton emission reaches the receiver, so the
     # Chernoff-bounded multiphoton count is subtracted from the received tally
-    mp_upper_x = chernoff_upper(counts.n_mp_star_x, sec.eps_pe)
-    mp_upper_z = chernoff_upper(counts.n_mp_star_z, sec.eps_pe)
-    n_nmp_x = max(0.0, counts.n_rx_x - mp_upper_x)
-    n_nmp_z = max(0.0, counts.n_rx_z - mp_upper_z)
+    mp_upper_x = _chernoff(n_mp_star_x, consts.beta)
+    mp_upper_z = _chernoff(n_mp_star_z, consts.beta)
+    # max(0.0, n), the rule of the builtin (NaN and -0.0 give 0.0), without its call
+    n_nmp_x = n_rx_x - mp_upper_x
+    n_nmp_x = n_nmp_x if n_nmp_x > 0.0 else 0.0
+    n_nmp_z = n_rx_z - mp_upper_z
+    n_nmp_z = n_nmp_z if n_nmp_z > 0.0 else 0.0
     phi, phi_upper = 0.5, 0.5
-    if n_nmp_x > 0.0 and n_nmp_z > 0.0 and counts.n_rx_x >= 1.0:
-        phi = counts.m_z / n_nmp_z
-        phi_upper = phase_error_upper(counts, n_nmp_z, sec)
+    if n_nmp_x > 0.0 and n_nmp_z > 0.0 and n_rx_x >= 1.0:
+        phi = m_z / n_nmp_z
+        phi_upper = _phase_upper(n_rx_x, n_rx_z, m_z, n_nmp_z, consts.eps_gamma)
     return mp_upper_x, mp_upper_z, n_nmp_x, n_nmp_z, phi, phi_upper
 
 
-def _ell(n_nmp_x: float, phi_upper: float, leak: float, sec: SecurityParams) -> int:
+def _ell(n_nmp_x: float, phi_upper: float, leak: float, consts: _Constants) -> int:
     """The key length, floored and clamped at zero, for a phase-error bound below 1/2."""
     raw = (n_nmp_x * (1.0 - binary_entropy(phi_upper))
            - leak
-           - 2.0 * math.log2(1.0 / (2.0 * sec.eps_pa))
-           - math.log2(2.0 / sec.eps_cor))
+           - consts.pa_bits
+           - consts.cor_bits)
     return max(0, math.floor(raw))

@@ -12,9 +12,13 @@ p_x rises, so it cuts each column once: the walk starts at the first p_x
 whose bound may beat the incumbent, and a column whose bracket proves
 every key length zero keeps no point. Each remaining point whose
 practical-leak bound cannot beat the incumbent is skipped before its exact
-key length and so before the F^-1 of lambda_ec. A skipped point could
-never have become the incumbent, so the result is that of evaluating every
-grid point.
+key length and so before the F^-1 of lambda_ec. Most points end there, so
+that bound runs on plain floats: the float cores of finitekey, with what
+every point of a column shares read once per column (-ln(eps_pe),
+eps_sec/6 and the two log2 costs of ell, which SecurityParams derives
+once, and H(e_x)). Only a point that passes it builds its SessionCounts
+and FiniteKeyResult. A skipped point could never have become the
+incumbent, so the result is that of evaluating every grid point.
 
 optimize_point and the loss-boundary search consume the same walk, which
 yields each new positive incumbent. The loss search only needs to know
@@ -32,8 +36,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from .asymptotic import AsymptoticResult, asymptotic_rate, f_ec, gllp_bracket
-from .finitekey import (FiniteKeyResult, SecurityParams, SessionCounts, finite_key_length,
-                        practical_key_length)
+from .entropy import binary_entropy
+from .finitekey import (FiniteKeyResult, SecurityParams, SessionCounts, _practical_ell,
+                        _tallies, finite_key_length)
 from .models import ChannelModel, DetectorModel, ProtocolParams, SourceModel, click_error_probs
 
 __all__ = [
@@ -150,7 +155,10 @@ class _FiniteColumn:
             # the asymptotic bracket A*(1 - H(e/A)) - f_EC(e)*H(e); -inf when A <= 0
             a = (self.p_c - self.p_m) / self.p_c
             self.bracket = gllp_bracket(a, self.e_x) if a > 0.0 else -math.inf
-            self.consts = 2.0 * math.log2(1.0 / (2.0 * sec.eps_pa)) + math.log2(2.0 / sec.eps_cor)
+            # what every point's practical_ell takes of sec and e_x, derived once
+            self.constants = sec._constants
+            self.h_e = binary_entropy(self.e_x)
+            self.cost_bits = self.constants.pa_bits + self.constants.cor_bits
 
     def counts(self, p_x: float) -> SessionCounts:
         return SessionCounts.from_probs(self.n_sent, p_x, self.p_c, self.p_e, self.p_m)
@@ -160,19 +168,31 @@ class _FiniteColumn:
         """The point's (rate, result); None if a bound proves (rate, p_x, att) <= to_beat.
 
         Such a point cannot win the (rate, p_x, att) tie-break against
-        to_beat. The bound is practical_key_length, which needs no F^-1;
-        only a point that passes it gets the exact key length, with the
-        F^-1 of lambda_ec. The walk passes only the points of candidates(),
-        the cheaper bracket cut, to this bound.
+        to_beat. The bound is practical_ell, which needs no F^-1 and builds
+        no SessionCounts; only a point that passes it gets its counts and
+        the exact key length, with the F^-1 of lambda_ec. The walk passes
+        only the points of candidates(), the cheaper bracket cut, to this
+        bound.
         """
         if self.p_c <= 0.0:
             return 0.0, None
-        counts = self.counts(p_x)
-        if to_beat is not None and not self._beats(
-                practical_key_length(counts, self.sec, self.e_x, self.fec), p_x, to_beat):
+        if to_beat is not None and not self._beats(self.practical_ell(p_x), p_x, to_beat):
             return None
-        res = finite_key_length(counts, self.sec, self.e_x, f_ec_value=self.fec)
+        res = finite_key_length(self.counts(p_x), self.sec, self.e_x, f_ec_value=self.fec)
         return res.rate, res
+
+    def practical_ell(self, p_x: float) -> int:
+        """practical_key_length(self.counts(p_x), ...) on plain floats, for p_c > 0.
+
+        The same float core with the same operations, so the same bits, but
+        with the column's constants and no validated SessionCounts. That
+        validation cannot fail where the walk calls this: every tally is at
+        most n_sent, and p_e <= p_c. An infinite n_sent (n_received over a
+        p_c that underflows) makes every rate bound NaN, so candidates()
+        keeps no point of such a column.
+        """
+        return _practical_ell(_tallies(self.n_sent, p_x, self.p_c, self.p_e, self.p_m),
+                              self.constants, self.fec, self.h_e)
 
     def ell_bound(self, p_x: float) -> float:
         """Upper bound on ell at p_x from the column's asymptotic bracket.
@@ -193,7 +213,7 @@ class _FiniteColumn:
         the few roundings in each term of ell.
         """
         scale = self.n_sent * p_x * p_x * self.p_c
-        return max(0.0, scale * (self.bracket + _BOUND_SLACK) - self.consts)
+        return max(0.0, scale * (self.bracket + _BOUND_SLACK) - self.cost_bits)
 
     def _beats(self, ell_bound: float, p_x: float, to_beat: tuple[float, float, float]) -> bool:
         """Whether a point of this column with ell <= ell_bound may beat to_beat."""

@@ -6,7 +6,8 @@ The table is read from the file, not imported, so the guard runs no
 benchmark code. The other tests pin the signatures, config fields and call
 paths that bench/worker.py and bench/tracer.py use, so a signature purge
 fails here instead of in a benchmark run, and the exact call counts of the
-default finite, asymptotic and maxloss commands. Those counts are literals here:
+default finite, asymptotic and maxloss commands, with the SessionCounts that
+maxloss builds. Those counts are literals here:
 the reference_counts in bench/baseline.json still hold the finite count
 from before optimize_point's branch-and-bound (5,069 bdtrik calls).
 """
@@ -131,3 +132,26 @@ def test_default_commands_keep_the_reference_counts(tmp_path, monkeypatch):
     assert per_command["asymptotic"] == {"asymptotic_rate": 5772}
     # the loss search's walk: a regression shows here as a count, not only as time
     assert per_command["maxloss"] == {"bdtrik": 17134}
+
+
+def test_default_maxloss_builds_counts_only_for_exact_key_lengths(tmp_path, monkeypatch):
+    # a point the practical-leak bound prunes is bounded on plain floats, so only
+    # the points that get an exact key length build a validated SessionCounts
+    # (every one of the 87,448 evaluated points built one before)
+    from bb84rate import cli, finitekey, optimize
+    calls = collections.Counter()
+    post_init = finitekey.SessionCounts.__post_init__
+    finite_key_length = optimize.finite_key_length
+
+    def counted_post_init(self):
+        calls["SessionCounts"] += 1
+        post_init(self)
+
+    def counted_finite_key_length(*args, **kwargs):
+        calls["finite_key_length"] += 1
+        return finite_key_length(*args, **kwargs)
+
+    monkeypatch.setattr(finitekey.SessionCounts, "__post_init__", counted_post_init)
+    monkeypatch.setattr(optimize, "finite_key_length", counted_finite_key_length)
+    assert cli.main(["maxloss", "--out", str(tmp_path / "maxloss.csv")]) == 0
+    assert calls == {"SessionCounts": 17139, "finite_key_length": 17139}

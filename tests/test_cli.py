@@ -336,11 +336,12 @@ class TestConfigHandling:
         ("asymptotic", "[source]\nrep_rate_mhz = inf\n"),
         ("fit-qber --data qber.csv", "[detector]\ndead_time_ns = inf\n"),
         ("fit-qber --data qber.csv", "[source]\nmean_photon_number = 0\n"),
+        ("finite", "[security]\neps_prime = 0.3\n"),
     ], ids=["efficiency", "distance", "loss_per_km_asymptotic", "loss_per_km_fit_qber",
             "loss_per_km_with_loss_db", "maxloss_time_negative", "maxloss_time_nan",
             "maxloss_time_inf", "seed_flag", "bisection_tol_nan", "shrink_factor_nan",
             "loss_cap_nan", "loss_cap_inf", "dead_time_nan", "rep_rate_inf",
-            "dead_time_inf", "fit_without_signal"])
+            "dead_time_inf", "fit_without_signal", "eps_pe_not_below_one"])
     def test_out_of_range_value_rejected(self, tmp_path, monkeypatch, capsys, argv, text):
         monkeypatch.chdir(tmp_path)
         write(tmp_path / "qber.csv", "distance_km,qber\n0,0.004\n")
@@ -375,6 +376,10 @@ class TestConfigHandling:
         ("asymptotic", "asymptotic", "distances_km", "10,5"),
         ("finite", "finite", "acquisition_times_s", "60,1"),
         ("finite", "finite", "block_sizes_received", "1e6,1e6"),
+        # every comparison with NaN is False, so these once passed as increasing
+        ("asymptotic", "asymptotic", "distances_km", "50,nan,10"),
+        ("finite", "finite", "acquisition_times_s", "1,nan,60"),
+        ("finite", "finite", "block_sizes_received", "1e6,nan,1e7"),
     ])
     def test_unordered_sweep_values_rejected(self, tmp_path, capsys, command, section, key,
                                              values):

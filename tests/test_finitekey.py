@@ -45,6 +45,14 @@ class TestSecurityParams:
         with pytest.raises(ValueError):
             SecurityParams(n_pe=0)
 
+    @pytest.mark.parametrize("eps_prime, n_pe", [(0.25, 2), (0.3, 2), (0.1, 5)])
+    def test_rejects_a_parameter_estimation_budget_of_one_or_more(self, eps_prime, n_pe):
+        # the Chernoff caps need -ln(eps_pe) > 0; eps_prime = 0.3 once loaded and
+        # turned every finite row into an error
+        with pytest.raises(ValueError, match=r"^eps_pe = 2 \* n_pe \* eps_prime must be < 1"):
+            SecurityParams(eps_prime=eps_prime, n_pe=n_pe)
+        assert SecurityParams(eps_prime=math.nextafter(0.25, 0.0)).eps_pe < 1.0
+
 
 class TestChernoffUpper:
     def test_frozen_value(self):
@@ -355,14 +363,16 @@ class TestFiniteKeyLength:
     def test_bounds_spend_the_secrecy_budget(self, source, detector, security, monkeypatch):
         spent = []
 
-        def recording(bound):
+        def recording(bound, eps_of):
             def wrapped(*args):
-                spent.append(args[-1])  # eps is the last argument of both bounds
+                spent.append(eps_of(args[-1]))  # eps sets the last argument of both bounds
                 return bound(*args)
             return wrapped
 
-        monkeypatch.setattr(finitekey, "chernoff_upper", recording(finitekey.chernoff_upper))
-        monkeypatch.setattr(finitekey, "gamma_u", recording(finitekey.gamma_u))
+        # the Chernoff caps' float core takes beta = -ln(eps), gamma_u takes eps
+        monkeypatch.setattr(finitekey, "_chernoff",
+                            recording(finitekey._chernoff, lambda beta: math.exp(-beta)))
+        monkeypatch.setattr(finitekey, "gamma_u", recording(finitekey.gamma_u, lambda eps: eps))
         ch = ChannelModel(10.0)
         p_c, p_e = click_error_probs(source, ch, detector)
         counts = expected_counts(source, ch, detector, ProtocolParams(p_x=0.9), 1e10)

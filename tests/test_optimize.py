@@ -476,6 +476,30 @@ class TestBranchAndBound:
         if res.lambda_ec == column.fec * counts.n_rx_x * binary_entropy(column.e_x):
             assert practical == res.ell
 
+    @settings(max_examples=400, deadline=None)
+    @given(src=sources, det=detectors, sec=securities, loss=st.floats(0.0, 35.0),
+           att=st.floats(0.01, 1.0), p_x=st.floats(0.5, 0.999),
+           block=st.sampled_from(["n_sent", "n_received"]), log_n=st.floats(3.0, 13.0))
+    def test_practical_ell_is_practical_key_length(self, src, det, sec, loss, att, p_x, block,
+                                                   log_n):
+        # the walk's float bound and the public bound on validated counts are
+        # one computation: the same key length, or the same exception
+        blocks = {"n_sent": None, "n_received": None, block: 10.0**log_n}
+        try:
+            column = optimize._FiniteColumn(src, ChannelModel(loss), det, att, sec, **blocks)
+        except (ValueError, ArithmeticError):
+            return
+        if column.p_c <= 0.0:
+            return  # evaluate needs no bound there
+        try:
+            expected = practical_key_length(column.counts(p_x), sec, column.e_x, column.fec)
+        except (ValueError, ArithmeticError) as exc:
+            with pytest.raises(type(exc)) as raised:
+                column.practical_ell(p_x)
+            assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
+            return
+        assert column.practical_ell(p_x) == expected
+
 
 class TestRunSweep:
     def test_distance_sweep_monotone(self, source, detector, fast_opt):
