@@ -9,7 +9,7 @@ from .asymptotic import (AsymptoticResult, QberMeasurement, asymptotic_rate, f_e
 from .entropy import binary_entropy
 from .finitekey import (FiniteKeyResult, SecurityParams, SessionCounts, chernoff_upper,
                         expected_counts, finite_key_length, gamma_u, inverse_binomial_cdf,
-                        lambda_ec, phase_error_upper)
+                        lambda_ec)
 from .mc_oracle import (SampledSession, TrialConfig, chernoff_coverage, sample_session,
                         sampling_bound_coverage)
 from .models import (ChannelModel, DetectorModel, ProtocolParams, SourceModel, click_error_probs,
@@ -49,7 +49,6 @@ __all__ = [
     "lambda_ec",
     "max_tolerable_loss",
     "optimize_point",
-    "phase_error_upper",
     "run_sweep",
     "sample_session",
     "sampling_bound_coverage",

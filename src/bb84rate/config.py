@@ -31,8 +31,8 @@ def parse_values(text: str) -> list[float]:
         if len(parts) != 3:
             raise ConfigError(f"range must be start:stop:step, got {text!r}")
         start, stop, step = (float(p) for p in parts)
-        if math.isnan(start) or math.isnan(stop):
-            raise ConfigError(f"range start and stop must be numbers, got {text!r}")
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise ConfigError(f"range start and stop must be finite numbers, got {text!r}")
         if not step > 0:  # written so that NaN fails the check
             raise ConfigError(f"range step must be positive, got {step}")
         out = []

@@ -8,12 +8,13 @@ error rate of the unobserved key rounds. Error-correction leakage is the
 larger of the finite-block information-theoretic bound and the practical
 f_EC * n * H(e) cost.
 
-Each public bound checks its inputs and wraps an unchecked float core
-(_tallies, _chernoff, _phase_upper, _estimates, _ell) that takes what it
-needs of SecurityParams as _Constants, derived once per SecurityParams.
-The optimizer's branch-and-bound calls the cores directly, so a pruned
-grid point builds no SessionCounts; the same operations in the same order
-give the same bits on either path.
+The public functions check their inputs and run on unchecked float cores
+that take what they need of SecurityParams as _Constants, derived once
+per SecurityParams: SessionCounts.from_probs on _tallies, chernoff_upper
+on _chernoff, and finite_key_length on _estimates and _ell. The
+optimizer's branch-and-bound calls the cores directly and bounds a grid
+point with _practical_ell, so a pruned point builds no SessionCounts; the
+same operations in the same order give the same bits on either path.
 """
 from __future__ import annotations
 
@@ -35,7 +36,6 @@ __all__ = [
     "expected_counts",
     "chernoff_upper",
     "gamma_u",
-    "phase_error_upper",
     "inverse_binomial_cdf",
     "lambda_ec",
     "finite_key_length",
@@ -264,36 +264,6 @@ def gamma_u(n: float, k: float, observed_rate: float, eps: float) -> float:
     )
 
 
-def phase_error_upper(counts: SessionCounts, n_nmp_z: float,
-                      sec: SecurityParams) -> float:
-    """Upper bound on the key-basis phase error rate.
-
-    All observed parameter-estimation errors are attributed to the
-    received non-multiphoton fraction, giving phi = m_z / n_nmp_z; the
-    sampling correction then lifts phi to its bound over the unobserved
-    key rounds. When no errors were observed, half an error is substituted
-    (rate 1/(2*n_nmp_z)) to stay inside the correction's domain; this only
-    increases the bound. The result is clamped to <= 1/2.
-
-    Raises:
-        ValueError: if n_nmp_z <= 0 (no key possible).
-    """
-    if n_nmp_z <= 0.0:
-        raise ValueError("n_nmp_z must be positive; no key under this bound")
-    return _phase_upper(counts.n_rx_x, counts.n_rx_z, counts.m_z, n_nmp_z,
-                        sec._constants.eps_gamma)
-
-
-def _phase_upper(n_rx_x: float, n_rx_z: float, m_z: float, n_nmp_z: float,
-                 eps: float) -> float:
-    """phase_error_upper for n_nmp_z > 0, with gamma_u's eps = _Constants.eps_gamma."""
-    phi = m_z / n_nmp_z
-    lam = phi if phi > 0.0 else 0.5 / n_nmp_z
-    if lam >= 0.5:
-        return 0.5
-    return min(0.5, phi + gamma_u(n_rx_x, n_rx_z, lam, eps))
-
-
 def _binomial_cdf(m: int, n: int, q: float) -> float:
     """Binomial(n, q) CDF at 0 <= m <= n.
 
@@ -397,22 +367,16 @@ def finite_key_length(counts: SessionCounts, sec: SecurityParams,
     )
 
 
-def practical_key_length(counts: SessionCounts, sec: SecurityParams,
-                         e_x_for_ec: float, f_ec_value: float) -> int:
-    """Upper bound on finite_key_length's ell that needs no F^-1.
-
-    The key length with the practical leak f_EC * n * H(e) alone. lambda_ec
-    is the max of that cost and the information term, so its leak is never
-    smaller; the key length falls as the leak grows, in floating point too,
-    where each subtraction rounds monotonically.
-    """
-    return _practical_ell(counts.tallies, sec._constants, f_ec_value,
-                          binary_entropy(e_x_for_ec))
-
-
 def _practical_ell(tallies: tuple[float, float, float, float, float], consts: _Constants,
                    f_ec_value: float, h_e: float) -> int:
-    """practical_key_length of SessionCounts.tallies, with h_e = H(e_x_for_ec), unchecked."""
+    """Upper bound on finite_key_length's ell that needs no F^-1, unchecked.
+
+    The key length of SessionCounts.tallies with the practical leak
+    f_EC * n_rx_x * H(e) alone, where h_e = H(e_x_for_ec). lambda_ec is the
+    max of that cost and the information term, so its leak is never
+    smaller; the key length falls as the leak grows, in floating point
+    too, where each subtraction rounds monotonically.
+    """
     _, _, n_nmp_x, _, _, phi_upper = _estimates(tallies, consts)
     if phi_upper >= 0.5:
         return 0
@@ -423,8 +387,14 @@ def _estimates(tallies: tuple[float, float, float, float, float],
                consts: _Constants) -> tuple[float, float, float, float, float, float]:
     """(n_mp_upper_x, n_mp_upper_z, n_nmp_x, n_nmp_z, phi_x, phi_x_upper) of SessionCounts.tallies.
 
-    Both phase-error values are 1/2 where no key is possible: no
-    non-multiphoton signal in a basis, or no key-basis detection.
+    Every observed parameter-estimation error is charged to the received
+    non-multiphoton fraction, giving phi_x = m_z / n_nmp_z; gamma_u's
+    sampling correction then lifts phi_x to its bound over the unobserved
+    key rounds. When no error was observed, half an error (rate
+    1/(2*n_nmp_z)) stands in to stay inside the correction's domain; this
+    only raises the bound. phi_x_upper is clamped at 1/2. Both phase-error
+    values are 1/2 where no key is possible: no non-multiphoton signal in
+    a basis, or no key-basis detection.
     """
     n_rx_x, n_rx_z, m_z, n_mp_star_x, n_mp_star_z = tallies
     # worst case, every multiphoton emission reaches the receiver, so the
@@ -439,7 +409,9 @@ def _estimates(tallies: tuple[float, float, float, float, float],
     phi, phi_upper = 0.5, 0.5
     if n_nmp_x > 0.0 and n_nmp_z > 0.0 and n_rx_x >= 1.0:
         phi = m_z / n_nmp_z
-        phi_upper = _phase_upper(n_rx_x, n_rx_z, m_z, n_nmp_z, consts.eps_gamma)
+        lam = phi if phi > 0.0 else 0.5 / n_nmp_z
+        if lam < 0.5:
+            phi_upper = min(0.5, phi + gamma_u(n_rx_x, n_rx_z, lam, consts.eps_gamma))
     return mp_upper_x, mp_upper_z, n_nmp_x, n_nmp_z, phi, phi_upper
 
 

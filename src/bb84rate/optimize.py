@@ -182,9 +182,9 @@ class _FiniteColumn:
         return res.rate, res
 
     def practical_ell(self, p_x: float) -> int:
-        """practical_key_length(self.counts(p_x), ...) on plain floats, for p_c > 0.
+        """_practical_ell of self.counts(p_x).tallies on plain floats, for p_c > 0.
 
-        The same float core with the same operations, so the same bits, but
+        The same tallies with the same operations, so the same bits, but
         with the column's constants and no validated SessionCounts. That
         validation cannot fail where the walk calls this: every tally is at
         most n_sent, and p_e <= p_c. An infinite n_sent (n_received over a

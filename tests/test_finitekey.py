@@ -9,9 +9,9 @@ from scipy.stats import binom
 
 from bb84rate import finitekey
 from bb84rate import (ChannelModel, ProtocolParams, SecurityParams, SessionCounts,
-                      asymptotic_rate, chernoff_upper, click_error_probs, expected_counts, f_ec,
-                      finite_key_length, gamma_u, inverse_binomial_cdf, lambda_ec,
-                      phase_error_upper)
+                      asymptotic_rate, binary_entropy, chernoff_upper, click_error_probs,
+                      expected_counts, f_ec, finite_key_length, gamma_u, inverse_binomial_cdf,
+                      lambda_ec)
 
 # Frozen high-precision oracle values (mpmath, 40 digits).
 BETA_EPS_PE = 23.43131603804862122215793          # -ln(2e-10/3)
@@ -164,7 +164,7 @@ class TestGammaU:
     @pytest.mark.parametrize("n, k", [(math.nan, 100.0), (100.0, math.nan),
                                       (math.inf, 100.0), (100.0, math.inf)])
     def test_rejects_nan_and_inf_sample_sizes(self, n, k):
-        # each once returned a NaN correction, which phase_error_upper
+        # each once returned a NaN correction, which the phase-error bound
         # clamped to 1/2 without a word
         with pytest.raises(ValueError, match="^n and k must be finite and >= 1"):
             gamma_u(n, k, 0.01, 1e-3)
@@ -181,28 +181,41 @@ class TestGammaU:
 
 
 class TestPhaseErrorUpper:
+    # With n_mp_star_z = 0 the Chernoff cap is ln(1/eps_pe), so
+    # n_nmp_z = n_rx_z - ln(1/eps_pe); each expected value is computed from
+    # the n_nmp_z that finite_key_length returns.
     def test_zero_observed_errors_uses_floor(self, security):
         counts = SessionCounts(1e8, 1e5, 1e4, 0.0, 0.0, 0.0)
-        phi_bar = phase_error_upper(counts, 1e4, security)
-        assert phi_bar > 0.0
+        res = finite_key_length(counts, security, 0.0, 1.0)
+        assert res.n_nmp_z == pytest.approx(1e4 - math.log(1.0 / security.eps_pe), rel=1e-15)
+        assert res.phi_x == 0.0 and res.phi_x_upper > 0.0
         # the floor substitutes half an error in the PE sample
-        assert phi_bar == pytest.approx(
-            gamma_u(1e5, 1e4, 0.5 / 1e4, security.eps_sec / 6.0), rel=1e-12)
+        assert res.phi_x_upper == pytest.approx(
+            gamma_u(1e5, 1e4, 0.5 / res.n_nmp_z, security.eps_sec / 6.0), rel=1e-12)
 
     def test_upper_bound_dominates_estimate(self, security):
         counts = SessionCounts(1e8, 1e5, 1e4, 50.0, 10.0, 10.0)
-        phi = counts.m_z / 9.9e3
-        phi_bar = phase_error_upper(counts, 9.9e3, security)
-        assert phi_bar >= phi
+        res = finite_key_length(counts, security, 0.0, 1.0)
+        phi = counts.m_z / res.n_nmp_z
+        assert res.phi_x == phi
+        assert phi < res.phi_x_upper < 0.5
+        assert res.phi_x_upper == phi + gamma_u(1e5, 1e4, phi, security.eps_sec / 6.0)
 
-    def test_clamped_at_half(self, security):
-        counts = SessionCounts(1e6, 100.0, 100.0, 49.0, 0.0, 0.0)
-        assert phase_error_upper(counts, 100.0, security) == 0.5
+    @pytest.mark.parametrize("m_z", [37.0, 49.0])
+    def test_clamped_at_half(self, security, m_z):
+        # m_z = 37: the estimate is below 1/2 and its correction crosses it;
+        # m_z = 49: the estimate itself is at least 1/2
+        counts = SessionCounts(1e6, 100.0, 100.0, m_z, 0.0, 0.0)
+        res = finite_key_length(counts, security, 0.0, 1.0)
+        assert (res.phi_x < 0.5) == (m_z == 37.0)
+        assert res.phi_x_upper == 0.5 and res.ell == 0
 
-    def test_no_pe_statistics_rejected(self, security):
+    def test_no_pe_statistics_gives_no_key(self, security):
+        # ln(1/eps_pe) ~ 23.4 exceeds n_rx_z = 10, so n_nmp_z = 0
         counts = SessionCounts(1e6, 100.0, 10.0, 0.0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            phase_error_upper(counts, 0.0, security)
+        res = finite_key_length(counts, security, 0.0, 1.0)
+        assert res.n_nmp_z == 0.0
+        assert res.phi_x_upper == 0.5 and res.ell == 0
 
 
 class TestInverseBinomialCdf:
@@ -426,4 +439,5 @@ class TestFiniteKeyLength:
             ell = finite_key_length(counts, sec, e, f_ec(e)).ell
         except ValueError:  # gamma_u out of its regime
             return
-        assert ell <= finitekey.practical_key_length(counts, sec, e, f_ec(e))
+        assert ell <= finitekey._practical_ell(counts.tallies, sec._constants, f_ec(e),
+                                               binary_entropy(e))

@@ -10,7 +10,7 @@ from bb84rate import (ChannelModel, DetectorModel, NoPositiveRateError, Optimiza
                       asymptotic_rate, finite_key_length, expected_counts, click_error_probs,
                       f_ec, max_tolerable_loss, optimize_point, run_sweep)
 from bb84rate.entropy import binary_entropy
-from bb84rate.finitekey import practical_key_length
+from bb84rate.finitekey import _practical_ell
 
 
 class TestConfigValidation:
@@ -463,7 +463,7 @@ class TestBranchAndBound:
     def test_point_bounds_dominate_the_key_length(self, src, det, sec, loss, att, p_x,
                                                   log_n_sent):
         # the bounds the walk prunes with, cheapest first: column bound >=
-        # practical_key_length >= ell, with equality where the practical leak wins
+        # _practical_ell of the counts >= ell, with equality where the practical leak wins
         try:
             column = optimize._FiniteColumn(src, ChannelModel(loss), det, att, sec,
                                             10.0**log_n_sent, None)
@@ -471,7 +471,8 @@ class TestBranchAndBound:
             res = column.evaluate(p_x)[1]
         except (ValueError, ArithmeticError):
             return
-        practical = practical_key_length(counts, sec, column.e_x, column.fec)
+        practical = _practical_ell(counts.tallies, sec._constants, column.fec,
+                                   binary_entropy(column.e_x))
         assert res.ell <= practical <= column.ell_bound(p_x)
         if res.lambda_ec == column.fec * counts.n_rx_x * binary_entropy(column.e_x):
             assert practical == res.ell
@@ -480,10 +481,11 @@ class TestBranchAndBound:
     @given(src=sources, det=detectors, sec=securities, loss=st.floats(0.0, 35.0),
            att=st.floats(0.01, 1.0), p_x=st.floats(0.5, 0.999),
            block=st.sampled_from(["n_sent", "n_received"]), log_n=st.floats(3.0, 13.0))
-    def test_practical_ell_is_practical_key_length(self, src, det, sec, loss, att, p_x, block,
-                                                   log_n):
-        # the walk's float bound and the public bound on validated counts are
-        # one computation: the same key length, or the same exception
+    def test_practical_ell_matches_validated_counts(self, src, det, sec, loss, att, p_x, block,
+                                                    log_n):
+        # the walk's float bound with the column's constants and the same
+        # core on validated counts are one computation: the same key
+        # length, or the same exception
         blocks = {"n_sent": None, "n_received": None, block: 10.0**log_n}
         try:
             column = optimize._FiniteColumn(src, ChannelModel(loss), det, att, sec, **blocks)
@@ -492,7 +494,9 @@ class TestBranchAndBound:
         if column.p_c <= 0.0:
             return  # evaluate needs no bound there
         try:
-            expected = practical_key_length(column.counts(p_x), sec, column.e_x, column.fec)
+            counts = column.counts(p_x)
+            expected = _practical_ell(counts.tallies, sec._constants, column.fec,
+                                      binary_entropy(column.e_x))
         except (ValueError, ArithmeticError) as exc:
             with pytest.raises(type(exc)) as raised:
                 column.practical_ell(p_x)
