@@ -185,7 +185,7 @@ def _cmd_maxloss(cfg: RunConfig, out: str, fmt: str) -> int:
 
 def _read_qber_csv(path: str) -> list[QberMeasurement]:
     try:
-        fh = open(path, encoding="utf-8")
+        fh = open(path, encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot read QBER data {path!r}: {exc}") from exc
     with fh:

@@ -134,7 +134,7 @@ def _read_raw(path: str | None) -> dict[str, dict[str, object]]:
         return values
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             parser.read_file(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc

@@ -15,6 +15,10 @@ on _chernoff, and finite_key_length on _estimates and _ell. The
 optimizer's branch-and-bound calls the cores directly and bounds a grid
 point with _practical_ell, so a pruned point builds no SessionCounts; the
 same operations in the same order give the same bits on either path.
+
+scipy.special, for the binomial CDF and its inverse, is imported inside
+inverse_binomial_cdf, once per call, and passed on to _binomial_cdf, so
+a command that computes no finite key never loads scipy.
 """
 from __future__ import annotations
 
@@ -23,8 +27,6 @@ import math
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple
-
-from scipy import special as _sp
 
 from .entropy import binary_entropy
 from .models import ChannelModel, DetectorModel, ProtocolParams, SourceModel, click_error_probs
@@ -264,8 +266,8 @@ def gamma_u(n: float, k: float, observed_rate: float, eps: float) -> float:
     )
 
 
-def _binomial_cdf(m: int, n: int, q: float) -> float:
-    """Binomial(n, q) CDF at 0 <= m <= n.
+def _binomial_cdf(_sp, m: int, n: int, q: float) -> float:
+    """Binomial(n, q) CDF at 0 <= m <= n, with _sp the scipy.special module.
 
     scipy's bdtr returns NaN from n = 2**31 on; there it is betainc, which bdtr wraps.
     """
@@ -290,6 +292,9 @@ def inverse_binomial_cdf(eps: float, n: int, q: float) -> int:
         raise ValueError(f"n must satisfy 1 <= n <= 10**13, got {n}")
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must be in [0, 1], got {q}")
+    # imported here, not at module level, so that only finite-key commands load scipy
+    import scipy.special as _sp
+
     guess = float(_sp.bdtrik(eps, n, q))
     if math.isfinite(guess):
         m = min(n, max(0, int(guess)))
@@ -299,14 +304,14 @@ def inverse_binomial_cdf(eps: float, n: int, q: float) -> int:
         lo, hi = 0, n
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if _binomial_cdf(mid, n, q) <= eps:
+            if _binomial_cdf(_sp, mid, n, q) <= eps:
                 lo = mid
             else:
                 hi = mid
         m = lo
-    while m >= 0 and _binomial_cdf(m, n, q) > eps:
+    while m >= 0 and _binomial_cdf(_sp, m, n, q) > eps:
         m -= 1
-    while m < n and _binomial_cdf(m + 1, n, q) <= eps:
+    while m < n and _binomial_cdf(_sp, m + 1, n, q) <= eps:
         m += 1
     return m
 

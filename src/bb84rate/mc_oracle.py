@@ -38,12 +38,13 @@ session at loss index idx is seeded with
 ``SeedSequence([seed, idx]).generate_state(1)[0]``, the Chernoff coverage
 experiment uses ``default_rng([seed, 0])`` and the sampling-bound coverage
 experiment ``default_rng([seed, 1])``.
+
+numpy is imported inside the functions that sample, so the validators
+and dataclasses that config imports from here load no numpy.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .finitekey import chernoff_upper, gamma_u
 from .models import (ChannelModel, DetectorModel, ProtocolParams, SourceModel,
@@ -152,6 +153,9 @@ def _row(rng: np.random.Generator, buf: np.ndarray, m: int, idx: np.ndarray | No
     zeros stand in. A row needed at fewer than m * _JUMP_FRACTION pulses
     jumps to each of them with PCG64.advance instead of drawing the row.
     """
+    # imported here, not at module level, so that only the oracle loads numpy
+    import numpy as np
+
     size = m if idx is None else len(idx)
     if size == 0 or all(t <= 0.0 or t >= 1.0 for t in thresholds):
         rng.bit_generator.advance(m)
@@ -180,6 +184,9 @@ def sample_session(src: SourceModel, ch: ChannelModel, det: DetectorModel,
     thinning with the analytic factor c_dt, matching the model under test
     rather than a timeline simulation.
     """
+    # imported here, not at module level, so that only the oracle loads numpy
+    import numpy as np
+
     att, mis, p_x = protocol.att, det.misalignment, protocol.p_x
     _, p1, p2 = src.photon_probs
     f, _ = _raw_click_error_probs(src, ch, det, att)
@@ -235,6 +242,9 @@ def chernoff_coverage(x_star: float, eps_test: float, trials: int, *,
     (3*sqrt(eps_test/trials) slack). bound_scale deliberately rescales the
     bound and exists for harness self-tests only.
     """
+    # imported here, not at module level, so that only the oracle loads numpy
+    import numpy as np
+
     check_trials("chernoff_trials", trials)
     if x_star < 0.0 or x_star > _CHERNOFF_POPULATION:
         raise ValueError(f"x_star must be in [0, {_CHERNOFF_POPULATION}], got {x_star}")
@@ -257,6 +267,9 @@ def sampling_bound_coverage(n: int, k: int, population_errors: int, eps_test: fl
     (chi = 1). Returns the fraction of draws where the true unobserved
     rate exceeds chi.
     """
+    # imported here, not at module level, so that only the oracle loads numpy
+    import numpy as np
+
     if n < 1 or k < 1:
         raise ValueError(f"n and k must be >= 1, got n={n}, k={k}")
     if not 0 <= population_errors <= n + k:
@@ -292,6 +305,9 @@ def run_oracle_suite(src: SourceModel, det: DetectorModel, protocol: ProtocolPar
     below eps_test plus 3-sigma sampling slack. All randomness derives
     deterministically from trial.seed.
     """
+    # imported here, not at module level, so that only the oracle loads numpy
+    import numpy as np
+
     checks: list[dict] = []
 
     for idx, loss in enumerate(losses_db):

@@ -88,8 +88,8 @@ class ChannelModel:
     def from_fiber(cls, length_km: float, loss_per_km_db: float = 0.1904) -> "ChannelModel":
         if length_km < 0.0:
             raise ValueError(f"length_km must be >= 0, got {length_km}")
-        if not loss_per_km_db > 0.0:
-            raise ValueError(f"loss_per_km_db must be > 0, got {loss_per_km_db}")
+        if not 0.0 < loss_per_km_db < math.inf:  # written so that NaN fails the check
+            raise ValueError(f"loss_per_km_db must be finite and > 0, got {loss_per_km_db}")
         return cls(loss_db=length_km * loss_per_km_db)
 
     @property

@@ -349,6 +349,20 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, distance", [
+        ("asymptotic", "100"), ("finite", "0"), ("fit-qber --data qber.csv", "0")])
+    def test_infinite_fibre_loss_names_its_key(self, tmp_path, monkeypatch, capsys, argv,
+                                               distance):
+        # the fibre's loss once came out inf (or NaN at 0 km), and the error
+        # named loss_db, a key the config never set
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path / "qber.csv", "distance_km,qber\n0,0.004\n")
+        cfg = write(tmp_path / "run.ini",
+                    f"[channel]\ndistance_km = {distance}\nloss_per_km_db = inf\n")
+        assert main([*argv.split(), "--config", cfg, "--out", "-"]) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: loss_per_km_db must be finite and > 0, got inf\n"
+
     def test_range_value_limit(self, tmp_path, capsys):
         assert len(parse_values("0:99999:1")) == 100_000
         # 1e20 + 1 == 1e20: without the limit this range never ends
@@ -376,6 +390,22 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "[asymptotic] distances_km" in err
         assert reason in err
+
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    def test_utf8_byte_order_mark_accepted(self, tmp_path, bom):
+        # spreadsheet exports often start with a UTF-8 byte-order mark, which
+        # once hid the first section header and the first CSV column name
+        cfg = tmp_path / "run.ini"
+        cfg.write_bytes(bom + b"[channel]\nloss_per_km_db = 0.2\n")
+        data = tmp_path / "qber.csv"
+        data.write_bytes(bom + b"distance_km,qber\n0,0.004\n100,0.006\n")
+        out = tmp_path / "fit.json"
+        assert main(["fit-qber", "--config", str(cfg), "--data", str(data),
+                     "--out", str(out)]) == 0
+        report = json.loads(out.read_text(encoding="utf-8"))
+        assert report["config"]["channel"]["loss_per_km_db"] == 0.2
+        assert [p["distance_km"] for p in report["points"]] == [0.0, 100.0]
+        assert out.read_bytes().startswith(b"{")
 
     def test_mutually_exclusive_channel_keys(self, tmp_path):
         cfg = write(tmp_path / "run.ini", "[channel]\ndistance_km = 10\nloss_db = 5\n")

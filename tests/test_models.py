@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import pytest
@@ -76,6 +77,9 @@ class TestChannel:
             ChannelModel(-1.0)
         with pytest.raises(ValueError):
             ChannelModel.from_fiber(10.0, 0.0)
+        for loss_per_km in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="loss_per_km_db must be finite"):
+                ChannelModel.from_fiber(0.0, loss_per_km)
 
 
 class TestProtocolParams:
