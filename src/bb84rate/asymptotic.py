@@ -135,6 +135,27 @@ def gllp_bracket(a: float, e: float) -> float:
     return a * (1.0 - binary_entropy(min(e / a, 0.5))) - f_ec(e) * binary_entropy(e)
 
 
+def _gllp_factors(p_c: float, p_e: float, p_m: float) -> tuple[float, float, float]:
+    """(A, e, bracket) at one attenuation, from its click, error and multiphoton probabilities.
+
+    The rate per pulse is _rate_per_pulse(sift, p_c, bracket). A point
+    with no clicks gives (0, 0, 0), and one with p_c <= p_m, which leaves
+    no single-photon signal, gives (0, e, 0): both rates are zero.
+    """
+    if p_c <= 0.0:
+        return 0.0, 0.0, 0.0
+    e = p_e / p_c
+    if p_c <= p_m:
+        return 0.0, e, 0.0
+    a = (p_c - p_m) / p_c
+    return a, e, gllp_bracket(a, e)
+
+
+def _rate_per_pulse(sift: float, p_c: float, bracket: float) -> float:
+    """Secret bits per pulse, sift * p_c * bracket clamped at zero."""
+    return max(0.0, sift * p_c * bracket)
+
+
 def asymptotic_rate(src: SourceModel, ch: ChannelModel, det: DetectorModel,
                     protocol: ProtocolParams) -> AsymptoticResult:
     """Asymptotic secure key rate at the given operating point.
@@ -143,17 +164,12 @@ def asymptotic_rate(src: SourceModel, ch: ChannelModel, det: DetectorModel,
     clamped at zero. The multiphoton bound entering A is scaled by att^2:
     pre-attenuation thins two-photon pulses quadratically but the signal
     only linearly. Both bases share the same click and error model, so
-    e_x = e_z here.
+    e_x = e_z here. The optimizer's grid evaluates the same float rule,
+    _gllp_factors and _rate_per_pulse, without building this result.
     """
     p_c, p_e = click_error_probs(src, ch, det, protocol.att)
-    p_m_eff = src.attenuated_multiphoton_prob(protocol.att)
-    if p_c <= 0.0:
-        return AsymptoticResult(0.0, 0.0, 0.0, 0.0, 0.0)
-    e = p_e / p_c
-    if p_c <= p_m_eff:
-        return AsymptoticResult(0.0, 0.0, 0.0, e, p_c)
-    a = (p_c - p_m_eff) / p_c
-    per_pulse = max(0.0, protocol.sift_ratio * p_c * gllp_bracket(a, e))
+    a, e, bracket = _gllp_factors(p_c, p_e, src.attenuated_multiphoton_prob(protocol.att))
+    per_pulse = _rate_per_pulse(protocol.sift_ratio, p_c, bracket)
     return AsymptoticResult(
         rate_per_pulse=per_pulse,
         rate_bps=per_pulse * src.rep_rate,

@@ -186,6 +186,9 @@ def load_config(path: str | None = None) -> RunConfig:
         # written so that a NaN fails the check
         if values is not None and any(not a < b for a, b in zip(values, values[1:])):
             raise ConfigError(f"[{section}] {key} must be strictly increasing")
+    distance_km = resolved["channel"]["distance_km"]
+    if not 0.0 <= distance_km < math.inf:  # written so that NaN fails the check
+        raise ConfigError(f"[channel] distance_km must be finite and >= 0, got {distance_km}")
     for t in resolved["maxloss"]["acquisition_times_s"]:
         if not 0.0 <= t < math.inf:
             raise ConfigError(f"[maxloss] acquisition_times_s must be finite and >= 0, got {t}")

@@ -47,8 +47,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .finitekey import chernoff_upper, gamma_u
-from .models import (ChannelModel, DetectorModel, ProtocolParams, SourceModel,
-                     _raw_click_error_probs, click_error_probs, dead_time_corrected_click)
+from .models import (ChannelModel, DetectorModel, ProtocolParams, SourceModel, _link,
+                     _raw_click_error, click_error_probs, dead_time_corrected_click)
 
 __all__ = [
     "TrialConfig",
@@ -189,7 +189,7 @@ def sample_session(src: SourceModel, ch: ChannelModel, det: DetectorModel,
 
     att, mis, p_x = protocol.att, det.misalignment, protocol.p_x
     _, p1, p2 = src.photon_probs
-    f, _ = _raw_click_error_probs(src, ch, det, att)
+    f, _ = _raw_click_error(_link(src, ch, det), att)
     p_c = dead_time_corrected_click(f, src.rep_rate, det.dead_time)
     c_dt = p_c / f if f > 0.0 else 1.0
     s_cd = ch.transmittance * det.det_efficiency

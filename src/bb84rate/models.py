@@ -6,11 +6,19 @@ mean photon number and second-order correlation g2(0); its photon-number
 distribution, SourceModel.photon_probs, is truncated at two photons, which
 saturates the multiphoton bound g2*<n>^2/2 and is therefore the worst case
 consistent with the two measured moments.
+
+click_error_probs checks its inputs and runs one unchecked core,
+_click_error(link, att). The link (_link) holds what every attenuation of
+an operating point shares: the vacuum pulses' dark clicks, the photon
+weights, log1p(-dark), the survival T*eta at att = 1, the misalignment and
+the dead-time inputs. A search over att derives it once and calls the core
+per grid point, with the same operations and so the same bits.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "SourceModel",
@@ -88,6 +96,8 @@ class ChannelModel:
     def from_fiber(cls, length_km: float, loss_per_km_db: float = 0.1904) -> "ChannelModel":
         if length_km < 0.0:
             raise ValueError(f"length_km must be >= 0, got {length_km}")
+        if not length_km < math.inf:  # written so that NaN fails the check
+            raise ValueError(f"length_km must be finite, got {length_km}")
         if not 0.0 < loss_per_km_db < math.inf:  # written so that NaN fails the check
             raise ValueError(f"loss_per_km_db must be finite and > 0, got {loss_per_km_db}")
         return cls(loss_db=length_km * loss_per_km_db)
@@ -150,7 +160,12 @@ class ProtocolParams:
     @property
     def sift_ratio(self) -> float:
         """Fraction of rounds where both parties picked the same basis."""
-        return self.p_x**2 + (1.0 - self.p_x) ** 2
+        return _sift_ratio(self.p_x)
+
+
+def _sift_ratio(p_x: float) -> float:
+    """ProtocolParams.sift_ratio on a plain float, unchecked."""
+    return p_x**2 + (1.0 - p_x) ** 2
 
 
 def dead_time_corrected_click(f: float, rep_rate: float, dead_time: float) -> float:
@@ -169,42 +184,73 @@ def dead_time_corrected_click(f: float, rep_rate: float, dead_time: float) -> fl
     return 2.0 * f / (1.0 + math.sqrt(1.0 + 4.0 * rt * f))
 
 
-def _raw_click_error_probs(src: SourceModel, ch: ChannelModel, det: DetectorModel,
-                           att: float) -> tuple[float, float]:
-    """Per-pulse (click, error) probabilities before the dead-time correction.
+class _Link(NamedTuple):
+    """What every attenuation of one operating point shares, derived once.
+
+    The per-pulse click/error core, _click_error, takes this and the
+    pre-attenuation alone, so a search over att reads the source, channel
+    and detector once instead of at every grid point.
+    """
+
+    p0_dark: float  # p0 * dark_count_prob: the vacuum pulses' click probability
+    p1: float
+    p2: float
+    log_dark: float  # log1p(-dark_count_prob)
+    t_eta: float  # transmittance * det_efficiency: survival at att = 1
+    misalignment: float
+    rep_rate: float
+    dead_time: float
+
+
+def _link(src: SourceModel, ch: ChannelModel, det: DetectorModel) -> _Link:
+    """The operating point's _Link."""
+    p0, p1, p2 = src.photon_probs
+    return _Link(p0 * det.dark_count_prob, p1, p2, math.log1p(-det.dark_count_prob),
+                 ch.transmittance * det.det_efficiency, det.misalignment, src.rep_rate,
+                 det.dead_time)
+
+
+def _raw_click_error(link: _Link, att: float) -> tuple[float, float]:
+    """Per-pulse (click, error) probabilities before the dead-time correction; unchecked.
 
     P(click | n photons) = 1 - (1 - dark) * (1 - surv)^n, evaluated as
     -expm1(log1p(-dark) + n*log1p(-surv)) so that tiny dark and survival
     probabilities do not lose precision to cancellation. Clicks on vacuum
     pulses are dark counts and land in the wrong detector with probability
     1/2; clicks on pulses carrying photons are wrong with the misalignment
-    probability.
+    probability. The caller checks att in (0, 1].
     """
-    if not 0.0 < att <= 1.0:
-        raise ValueError(f"att must be in (0, 1], got {att}")
-    p0, p1, p2 = src.photon_probs
-    dark = det.dark_count_prob
-    surv = ch.transmittance * det.det_efficiency * att
+    p0_dark, p1, p2, log_dark, t_eta, mis, _, _ = link
+    surv = t_eta * att
     if surv >= 1.0:
         click1 = click2 = 1.0
     else:
-        log_dark = math.log1p(-dark)
         log_surv = math.log1p(-surv)
         click1 = -math.expm1(log_dark + log_surv)
         click2 = -math.expm1(log_dark + 2 * log_surv)
-    f = p0 * dark + p1 * click1 + p2 * click2
-    raw_err = p0 * dark / 2.0 + p1 * click1 * det.misalignment + p2 * click2 * det.misalignment
+    f = p0_dark + p1 * click1 + p2 * click2
+    raw_err = p0_dark / 2.0 + p1 * click1 * mis + p2 * click2 * mis
     return f, raw_err
+
+
+def _click_error(link: _Link, att: float) -> tuple[float, float]:
+    """Dead-time-corrected (p_click, p_error) per pulse; the unchecked core.
+
+    The dead time scales errors by the same factor p_click / f as clicks,
+    where f is the click probability before the correction.
+    """
+    f, raw_err = _raw_click_error(link, att)
+    p_c = dead_time_corrected_click(f, link.rep_rate, link.dead_time)
+    p_e = 0.0 if f == 0.0 else (p_c / f) * raw_err
+    return p_c, p_e
 
 
 def click_error_probs(src: SourceModel, ch: ChannelModel, det: DetectorModel,
                       att: float = 1.0) -> tuple[float, float]:
     """Dead-time-corrected (p_click, p_error) per pulse for one basis.
 
-    The dead time scales errors by the same factor p_click / f as clicks,
-    where f is the click probability before the correction.
+    att must lie in (0, 1]; the probabilities are those of _click_error.
     """
-    f, raw_err = _raw_click_error_probs(src, ch, det, att)
-    p_c = dead_time_corrected_click(f, src.rep_rate, det.dead_time)
-    p_e = 0.0 if f == 0.0 else (p_c / f) * raw_err
-    return p_c, p_e
+    if not 0.0 < att <= 1.0:
+        raise ValueError(f"att must be in (0, 1], got {att}")
+    return _click_error(_link(src, ch, det), att)

@@ -20,6 +20,15 @@ once, and H(e_x)). Only a point that passes it builds its SessionCounts
 and FiniteKeyResult. A skipped point could never have become the
 incumbent, so the result is that of evaluating every grid point.
 
+Asymptotic mode has no bound to prune with: the closed-form rate is its
+own cheapest bound, so every grid point is evaluated, on plain floats.
+The operating point's link (models._link) is derived once, the column of
+an att runs the shared click/error core and asymptotic_rate's float rule
+for p_c, p_m and the GLLP bracket once, and a point's rate is one product,
+asymptotic_rate's rate_per_pulse bit for bit. No point builds a result:
+optimize_point builds the winner's AsymptoticResult, or that of the
+all-zero grid's tie-break point, with one asymptotic_rate call.
+
 optimize_point and the loss-boundary search consume the same walk, which
 yields each new positive incumbent. The loss search only needs to know
 whether the optimum is positive, so a probe stops at the first yield; it
@@ -35,11 +44,13 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .asymptotic import AsymptoticResult, asymptotic_rate, f_ec, gllp_bracket
+from .asymptotic import (AsymptoticResult, _gllp_factors, _rate_per_pulse, asymptotic_rate, f_ec,
+                         gllp_bracket)
 from .entropy import binary_entropy
 from .finitekey import (FiniteKeyResult, SecurityParams, SessionCounts, _practical_ell,
                         _tallies, finite_key_length)
-from .models import ChannelModel, DetectorModel, ProtocolParams, SourceModel, click_error_probs
+from .models import (ChannelModel, DetectorModel, ProtocolParams, SourceModel, _click_error, _Link,
+                     _link, _sift_ratio, click_error_probs)
 
 __all__ = [
     "NoPositiveRateError",
@@ -113,17 +124,25 @@ def _linspace(lo: float, hi: float, k: int) -> list[float]:
 
 
 class _AsymptoticColumn:
-    """One att column in asymptotic mode: the closed-form rate needs no bound."""
+    """One att column in asymptotic mode, evaluated on plain floats.
 
-    def __init__(self, src: SourceModel, ch: ChannelModel, det: DetectorModel,
-                 att: float) -> None:
-        self.src, self.ch, self.det, self.att = src, ch, det, att
+    The closed-form rate needs no bound. p_c, p_m and the GLLP bracket
+    depend only on att, so they are derived once per column, with
+    asymptotic_rate's float rule; a point's rate is then one product.
+    """
+
+    def __init__(self, src: SourceModel, link: _Link, att: float) -> None:
+        self.p_c, p_e = _click_error(link, att)
+        self.bracket = _gllp_factors(self.p_c, p_e, src.attenuated_multiphoton_prob(att))[2]
 
     def evaluate(self, p_x: float, to_beat: tuple[float, float, float] | None = None,
-                 ) -> tuple[float, AsymptoticResult]:
-        """The point's (rate, result); to_beat is ignored, every point is evaluated."""
-        res = asymptotic_rate(self.src, self.ch, self.det, ProtocolParams(p_x=p_x, att=self.att))
-        return res.rate_per_pulse, res
+                 ) -> tuple[float, None]:
+        """The point's (rate, None), asymptotic_rate's rate_per_pulse; to_beat is ignored.
+
+        _round_grids checked the walk's p_x and att once, as ProtocolParams
+        would at every point.
+        """
+        return _rate_per_pulse(_sift_ratio(p_x), self.p_c, self.bracket), None
 
     def candidates(self, p_xs: list[float], to_beat: tuple[float, float, float]) -> list[float]:
         """Every p_x: the closed-form rate needs no bound."""
@@ -243,7 +262,10 @@ def _column_maker(
     src: SourceModel, ch: ChannelModel, det: DetectorModel, mode: str,
     sec: SecurityParams, n_sent: float | None, n_received: float | None,
 ) -> Callable[[float], _AsymptoticColumn | _FiniteColumn]:
-    """Check the mode's block arguments; return att -> that att's grid column."""
+    """Check the mode's block arguments; return att -> that att's grid column.
+
+    Asymptotic columns share the operating point's link, derived here once.
+    """
     if mode not in ("asymptotic", "finite"):
         raise ValueError(f"mode must be 'asymptotic' or 'finite', got {mode!r}")
     if mode == "finite":
@@ -256,7 +278,8 @@ def _column_maker(
         return lambda att: _FiniteColumn(src, ch, det, att, sec, n_sent, n_received)
     if n_sent is not None or n_received is not None:
         raise ValueError("asymptotic mode takes neither n_sent nor n_received")
-    return lambda att: _AsymptoticColumn(src, ch, det, att)
+    link = _link(src, ch, det)
+    return lambda att: _AsymptoticColumn(src, link, att)
 
 
 def _round_grids(
@@ -270,11 +293,16 @@ def _round_grids(
     clamped into the ranges: the (inf, inf) of a search with no positive
     point yet is the top corner, where an all-zero search breaks its ties.
     """
-    if mode == "asymptotic" and fixed_p_x is None:
-        # At fixed att the rate is sift_ratio(p_x) times a factor free of p_x,
-        # and sift_ratio increases on (1/2, 1): under the (rate, p_x, att)
-        # tie-break the top of the p_x range wins or ties (zero rate).
-        fixed_p_x = cfg.p_x_range[1]
+    if mode == "asymptotic":
+        if fixed_p_x is None:
+            # At fixed att the rate is sift_ratio(p_x) times a factor free of p_x,
+            # and sift_ratio increases on (1/2, 1): under the (rate, p_x, att)
+            # tie-break the top of the p_x range wins or ties (zero rate).
+            fixed_p_x = cfg.p_x_range[1]
+        # Asymptotic columns evaluate on plain floats. Every point has this p_x,
+        # and an att that is pinned or inside the checked att_range, so one
+        # ProtocolParams raises what the first point's would.
+        ProtocolParams(p_x=fixed_p_x, att=cfg.att_range[1] if fixed_att is None else fixed_att)
     px_lo0, px_hi0 = cfg.p_x_range if fixed_p_x is None else (fixed_p_x, fixed_p_x)
     at_lo0, at_hi0 = cfg.att_range if fixed_att is None else (fixed_att, fixed_att)
     px_lo, px_hi = px_lo0, px_hi0
@@ -295,8 +323,10 @@ def _round_grids(
 def _positive_incumbents(
     column_at: Callable[[float], _AsymptoticColumn | _FiniteColumn], cfg: OptimizationConfig,
     mode: str, *, fixed_p_x: float | None = None, fixed_att: float | None = None,
-) -> Iterator[tuple[float, float, float, AsymptoticResult | FiniteKeyResult]]:
+) -> Iterator[tuple[float, float, float, FiniteKeyResult | None]]:
     """Walk the search rounds; yield each new positive incumbent (rate, p_x, att, result).
+
+    The result is None in asymptotic mode, whose columns build none.
 
     The incumbent starts as a zero rate that wins every tie, so only a
     positive point replaces it, and while there is none the windows shrink
@@ -355,12 +385,17 @@ def optimize_point(
     for best in _positive_incumbents(column_at, cfg, mode, fixed_p_x=fixed_p_x,
                                      fixed_att=fixed_att):
         pass
-    if best is None:  # every grid rate is zero: the tie-break point wins
+    if best is not None:
+        rate, p_x, att, result = best
+    else:  # every grid rate is zero: the tie-break point wins
         p_x = cfg.p_x_range[1] if fixed_p_x is None else fixed_p_x
         att = cfg.att_range[1] if fixed_att is None else fixed_att
+    if mode == "asymptotic":
+        # the walk's columns build no result; its rate is this one, bit for bit
+        result = asymptotic_rate(src, ch, det, ProtocolParams(p_x=p_x, att=att))
+        rate = result.rate_per_pulse
+    elif best is None:
         rate, result = column_at(att).evaluate(p_x)
-    else:
-        rate, p_x, att, result = best
     return OptimizedPoint(
         p_x=p_x, att=att, rate_per_pulse=rate, rate_bps=rate * src.rep_rate, result=result,
     )
@@ -382,8 +417,15 @@ def max_tolerable_loss(
     optimize_point(...).rate_per_pulse > 0. If the optimized rate is
     nonincreasing in loss, the rate is positive at boundary - tol and zero
     at boundary + tol on return; the bisection rests on that monotonicity,
-    which short finite blocks can break near the boundary. If the rate is
-    still positive at the configured cap, the cap itself is returned.
+    which short finite blocks can break near the boundary. In asymptotic
+    mode the first-round grid does not depend on the loss, and a walk
+    with no positive point shrinks around the same corner at every loss,
+    so the probe is monotone wherever the rate at each fixed (p_x, att) is
+    nonincreasing in loss. That holds except for rounding: within about
+    2e-13 dB of a zero crossing the float rate can be zero at one loss
+    and positive one double above it (a strict xfail in the tests), far
+    below any useful tolerance. If the rate is still positive at the
+    configured cap, the cap itself is returned.
 
     Raises:
         NoPositiveRateError: if the rate is zero already at 0 dB.

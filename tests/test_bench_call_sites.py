@@ -6,10 +6,13 @@ The table is read from the file, not imported, so the guard runs no
 benchmark code. The other tests pin the signatures, config fields and call
 paths that bench/worker.py and bench/tracer.py use, so a signature purge
 fails here instead of in a benchmark run, and the exact call counts of the
-default finite, asymptotic and maxloss commands, with the SessionCounts that
-maxloss builds. Those counts are literals here:
-the reference_counts in bench/baseline.json still hold the finite count
-from before optimize_point's branch-and-bound (5,069 bdtrik calls).
+default finite, asymptotic and maxloss commands (for asymptotic, both the
+grid points the float kernel evaluates and the one asymptotic_rate result
+per output row), with the SessionCounts that maxloss builds. Those counts
+are literals here: the reference_counts in bench/baseline.json still hold
+the finite count from before optimize_point's branch-and-bound (5,069
+bdtrik calls) and the asymptotic count from before the float kernel (5,772
+asymptotic_rate calls, now 36).
 """
 import ast
 import collections
@@ -123,13 +126,17 @@ def test_default_commands_keep_the_reference_counts(tmp_path, monkeypatch):
     monkeypatch.setattr(scipy.special, "bdtrik", counted("bdtrik", scipy.special.bdtrik))
     monkeypatch.setattr(optimize, "asymptotic_rate",
                         counted("asymptotic_rate", optimize.asymptotic_rate))
+    # asymptotic grid points run on the column's float kernel; only each row's
+    # winner (or all-zero tie-break point) builds its result with asymptotic_rate
+    monkeypatch.setattr(optimize._AsymptoticColumn, "evaluate",
+                        counted("asymptotic_kernel", optimize._AsymptoticColumn.evaluate))
     per_command = {}
     for command in ("finite", "asymptotic", "maxloss"):
         calls.clear()
         assert cli.main([command, "--out", str(tmp_path / f"{command}.csv")]) == 0
         per_command[command] = dict(calls)
     assert per_command["finite"] == {"bdtrik": 219}
-    assert per_command["asymptotic"] == {"asymptotic_rate": 5772}
+    assert per_command["asymptotic"] == {"asymptotic_kernel": 5772, "asymptotic_rate": 36}
     # the loss search's walk: a regression shows here as a count, not only as time
     assert per_command["maxloss"] == {"bdtrik": 17134}
 

@@ -83,6 +83,15 @@ class TestAsymptoticCommand:
         assert rows[0][header.index("status")].startswith("error:")
         assert rows[1][header.index("status")] == "ok"
 
+    def test_infinite_distance_row_names_the_length(self, tmp_path):
+        # the row once read "error: loss_db must be finite and >= 0; got inf"
+        cfg = write(tmp_path / "run.ini", FAST_OPT + "[asymptotic]\ndistances_km = 10,inf\n")
+        out = tmp_path / "akr.csv"
+        assert main(["asymptotic", "--config", cfg, "--out", str(out)]) == 0
+        _, header, rows = read_result_csv(str(out))
+        assert [r[header.index("status")] for r in rows] == [
+            "ok", "error: length_km must be finite; got inf"]
+
     def test_byte_deterministic(self, tmp_path):
         cfg = write(tmp_path / "run.ini", FAST_OPT + "[asymptotic]\ndistances_km = 0,50\n")
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -362,6 +371,16 @@ class TestConfigHandling:
         assert main([*argv.split(), "--config", cfg, "--out", "-"]) == 1
         err = capsys.readouterr().err
         assert err == "config error: loss_per_km_db must be finite and > 0, got inf\n"
+
+    @pytest.mark.parametrize("command", ["asymptotic", "finite"])
+    @pytest.mark.parametrize("distance", ["inf", "nan"])
+    def test_distance_that_is_not_finite_names_its_key(self, tmp_path, capsys, command,
+                                                        distance):
+        # it once named loss_db: "loss_db must be finite and >= 0, got inf"
+        cfg = write(tmp_path / "run.ini", f"[channel]\ndistance_km = {distance}\n")
+        assert main([command, "--config", cfg, "--out", "-"]) == 1
+        assert capsys.readouterr().err == ("config error: [channel] distance_km must be finite "
+                                           f"and >= 0, got {distance}\n")
 
     def test_range_value_limit(self, tmp_path, capsys):
         assert len(parse_values("0:99999:1")) == 100_000

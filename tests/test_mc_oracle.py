@@ -9,7 +9,7 @@ from bb84rate import (ChannelModel, DetectorModel, ProtocolParams, SourceModel, 
                       chernoff_coverage, chernoff_upper, click_error_probs, gamma_u,
                       sample_session, sampling_bound_coverage)
 from bb84rate.mc_oracle import SampledSession, check_eps_test, run_oracle_suite
-from bb84rate.models import _raw_click_error_probs, dead_time_corrected_click
+from bb84rate.models import _link, _raw_click_error, dead_time_corrected_click
 
 
 def _protocol():
@@ -72,7 +72,7 @@ class TestSampleSession:
 def dense_reference_session(src, ch, det, protocol, trial):
     """Reference sampler: draws each chunk of the same stream as one dense (10, m) block."""
     _, p1, p2 = src.photon_probs
-    f, _ = _raw_click_error_probs(src, ch, det, protocol.att)
+    f, _ = _raw_click_error(_link(src, ch, det), protocol.att)
     p_c = dead_time_corrected_click(f, src.rep_rate, det.dead_time)
     c_dt = p_c / f if f > 0.0 else 1.0
     s_cd = ch.transmittance * det.det_efficiency

@@ -80,6 +80,10 @@ class TestChannel:
         for loss_per_km in (math.inf, math.nan):
             with pytest.raises(ValueError, match="loss_per_km_db must be finite"):
                 ChannelModel.from_fiber(0.0, loss_per_km)
+        # an infinite or NaN length once reached the loss_db check and named loss_db
+        for length in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"^length_km must be finite, got {length}$"):
+                ChannelModel.from_fiber(length, 0.1904)
 
 
 class TestProtocolParams:

@@ -1,7 +1,9 @@
+import dataclasses
 import math
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bb84rate import optimize
@@ -11,6 +13,7 @@ from bb84rate import (ChannelModel, DetectorModel, NoPositiveRateError, Optimiza
                       f_ec, max_tolerable_loss, optimize_point, run_sweep)
 from bb84rate.entropy import binary_entropy
 from bb84rate.finitekey import _practical_ell
+from bb84rate.models import _link
 
 
 class TestConfigValidation:
@@ -350,17 +353,24 @@ class TestLossProbe:
             assert ell == 0
 
 
-def exhaustive_walk(src, ch, det, cfg, *, mode, sec, n_sent=None, n_received=None,
-                    fixed_p_x=None, fixed_att=None):
-    """optimize_point without bounds: the exact rate at every grid point, in walk order."""
+def exhaustive_walk(src, ch, det, cfg, *, mode, sec=SecurityParams(), n_sent=None,
+                    n_received=None, fixed_p_x=None, fixed_att=None):
+    """optimize_point without bounds: the exact rate at every grid point, in walk order.
+
+    In asymptotic mode every point's rate and result come from asymptotic_rate.
+    """
     column_at = optimize._column_maker(src, ch, det, mode, sec, n_sent, n_received)
     best = None
     for p_xs, atts in optimize._round_grids(cfg, mode, fixed_p_x, fixed_att,
                                             lambda: best[1:3]):
         for att in atts:
-            column = column_at(att)
+            column = column_at(att) if mode == "finite" else None
             for p_x in p_xs:
-                rate, result = column.evaluate(p_x)
+                if column is None:
+                    result = asymptotic_rate(src, ch, det, ProtocolParams(p_x=p_x, att=att))
+                    rate = result.rate_per_pulse
+                else:
+                    rate, result = column.evaluate(p_x)
                 if best is None or (rate, p_x, att) > best[:3]:
                     best = (rate, p_x, att, result)
     rate, p_x, att, result = best
@@ -503,6 +513,120 @@ class TestBranchAndBound:
             assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
             return
         assert column.practical_ell(p_x) == expected
+
+
+def asymptotic_column(src, ch, det, att):
+    return optimize._column_maker(src, ch, det, "asymptotic", SecurityParams(), None, None)(att)
+
+
+class TestAsymptoticKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(src=sources, det=detectors, dead_time=st.floats(1e-10, 1e-7),
+           loss=st.floats(0.0, 60.0), att=st.floats(0.0, 1.0, exclude_min=True),
+           p_x=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_column_rate_is_asymptotic_rate_bit_for_bit(self, src, det, dead_time, loss, att,
+                                                        p_x):
+        det = dataclasses.replace(det, dead_time=dead_time)
+        ch = ChannelModel(loss)
+        try:
+            expected = asymptotic_rate(src, ch, det, ProtocolParams(p_x=p_x, att=att))
+        except (ValueError, ArithmeticError) as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                asymptotic_column(src, ch, det, att).evaluate(p_x)
+            return
+        rate, result = asymptotic_column(src, ch, det, att).evaluate(p_x)
+        assert result is None
+        assert rate.hex() == expected.rate_per_pulse.hex()
+
+    @pytest.mark.parametrize("case, src, det, loss, att", [
+        ("surv >= 1", SourceModel(0.0142, 0.036, 160.7e6),
+         DetectorModel(1.0, 1.47e-7, 27.5e-9, 0.003), 0.0, 1.0),
+        ("f == 0", SourceModel(0.0, 0.0, 160.7e6), DetectorModel(0.6525, 0.0, 27.5e-9, 0.003),
+         10.0, 0.5),
+        ("p_c <= p_m", SourceModel(0.9, 1.0, 160.7e6),
+         DetectorModel(0.6525, 1.47e-7, 27.5e-9, 0.003), 30.0, 1.0),
+    ])
+    def test_edge_cases_are_asymptotic_rate_bit_for_bit(self, case, src, det, loss, att):
+        ch = ChannelModel(loss)
+        column = asymptotic_column(src, ch, det, att)
+        hit = {"surv >= 1": _link(src, ch, det).t_eta * att >= 1.0,
+               "f == 0": column.p_c == 0.0,
+               "p_c <= p_m": 0.0 < column.p_c <= src.attenuated_multiphoton_prob(att)}
+        assert hit[case]
+        for p_x in (0.5, 0.7, 0.995):
+            expected = asymptotic_rate(src, ch, det, ProtocolParams(p_x=p_x, att=att))
+            assert column.evaluate(p_x)[0].hex() == expected.rate_per_pulse.hex()
+        cfg = OptimizationConfig(grid_resolution=5, refinement_rounds=2)
+        for pins in ({}, {"fixed_att": att}):
+            assert (repr(optimize_point(src, ch, det, cfg, mode="asymptotic", **pins))
+                    == repr(exhaustive_walk(src, ch, det, cfg, mode="asymptotic", **pins)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(src=sources, det=detectors,
+           p_x_range=st.lists(st.floats(0.501, 0.999), min_size=2, max_size=2).map(sorted),
+           att_range=st.lists(st.floats(0.01, 1.0) | st.just(1.0), min_size=2, max_size=2)
+           .map(sorted),
+           grid_resolution=st.integers(2, 9), refinement_rounds=st.integers(0, 4),
+           shrink_factor=st.floats(1.5, 6.0), fixed_p_x=st.none() | st.floats(0.5, 0.999),
+           fixed_att=st.none() | st.floats(0.01, 1.0), loss=st.floats(0.0, 60.0))
+    def test_optimize_point_equals_the_exhaustive_walk(
+            self, src, det, p_x_range, att_range, grid_resolution, refinement_rounds,
+            shrink_factor, fixed_p_x, fixed_att, loss):
+        # the walk that builds an AsymptoticResult at every grid point: the same
+        # winner, rate and result, or the same exception
+        cfg = OptimizationConfig(p_x_range=tuple(p_x_range), att_range=tuple(att_range),
+                                 grid_resolution=grid_resolution,
+                                 refinement_rounds=refinement_rounds,
+                                 shrink_factor=shrink_factor)
+        kw = {"mode": "asymptotic", "fixed_p_x": fixed_p_x, "fixed_att": fixed_att}
+        try:
+            reference = exhaustive_walk(src, ChannelModel(loss), det, cfg, **kw)
+        except (ValueError, ArithmeticError) as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                optimize_point(src, ChannelModel(loss), det, cfg, **kw)
+            return
+        assert repr(optimize_point(src, ChannelModel(loss), det, cfg, **kw)) == repr(reference)
+
+    @pytest.mark.parametrize("pins", [
+        {"fixed_p_x": 1.0}, {"fixed_p_x": 0.0}, {"fixed_p_x": math.nan},
+        {"fixed_att": 0.0}, {"fixed_att": 1.5}, {"fixed_att": math.nan},
+        {"fixed_p_x": 1.2, "fixed_att": -1.0},
+    ])
+    def test_out_of_range_pin_raises_the_protocol_error(self, source, detector, pins):
+        # the error the ProtocolParams of every evaluated point raised before
+        # the float kernel, for a positive and for an all-zero grid
+        with pytest.raises(ValueError) as expected:
+            ProtocolParams(p_x=pins.get("fixed_p_x", 0.995), att=pins.get("fixed_att", 1.0))
+        cfg = OptimizationConfig(grid_resolution=4, refinement_rounds=1)
+        for loss in (5.0, 200.0):
+            with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+                optimize_point(source, ChannelModel(loss), detector, cfg, mode="asymptotic",
+                               **pins)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="within about 2e-13 dB of a zero crossing the float rate can "
+                              "rise with loss (CHANGES.md FOUND line)")
+    @example(src=SourceModel(0.05102737864818693, 0.29565246894773933, 235405794.43616745),
+             det=DetectorModel(0.7391919269292089, 8.468023041648421e-07,
+                               1.6969414179438756e-08, 0.09109877835080679),
+             p_x=0.6062711293007207, att=0.7615250208892758, loss=5.982426799805344,
+             gap=0.0, ulps=1)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(src=sources, det=detectors, p_x=st.floats(0.5, 0.999),
+           att=st.floats(0.0, 1.0, exclude_min=True), loss=st.floats(0.0, 60.0),
+           gap=st.floats(0.0, 60.0), ulps=st.integers(0, 4000))
+    def test_asymptotic_rate_is_nonincreasing_in_loss(self, src, det, p_x, att, loss, gap,
+                                                      ulps):
+        # the precondition of the asymptotic loss bisection: with it, a point
+        # positive at some loss is positive at every lower loss, so the probe is
+        # monotone. The pinned example is zero at its loss and positive one
+        # double above it.
+        higher = loss + gap
+        for _ in range(ulps):
+            higher = math.nextafter(higher, math.inf)
+        protocol = ProtocolParams(p_x=p_x, att=att)
+        at_loss = asymptotic_rate(src, ChannelModel(loss), det, protocol).rate_per_pulse
+        assert asymptotic_rate(src, ChannelModel(higher), det, protocol).rate_per_pulse <= at_loss
 
 
 class TestRunSweep:
