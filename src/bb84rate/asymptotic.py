@@ -127,20 +127,15 @@ def fit_misalignment(data: Sequence[QberMeasurement], src: SourceModel, det: Det
     return p_mis, [a + (1.0 - 2.0 * a) * p_mis for a in offsets]
 
 
-def gllp_bracket(a: float, e: float) -> float:
-    """Secret fraction per sifted click, A*(1 - H(e/A)) - f_EC(e)*H(e), for A > 0.
-
-    e/A is clamped to 1/2, past which the bracket is already non-positive.
-    """
-    return a * (1.0 - binary_entropy(min(e / a, 0.5))) - f_ec(e) * binary_entropy(e)
-
-
 def _gllp_factors(p_c: float, p_e: float, p_m: float) -> tuple[float, float, float]:
     """(A, e, bracket) at one attenuation, from its click, error and multiphoton probabilities.
 
-    The rate per pulse is _rate_per_pulse(sift, p_c, bracket). A point
-    with no clicks gives (0, 0, 0), and one with p_c <= p_m, which leaves
-    no single-photon signal, gives (0, e, 0): both rates are zero.
+    The bracket is the secret fraction per sifted click,
+    A*(1 - H(e/A)) - f_EC(e)*H(e), with e/A clamped to 1/2, past which it
+    is already non-positive. The rate per pulse is
+    _rate_per_pulse(sift, p_c, bracket). A point with no clicks gives
+    (0, 0, 0), and one with p_c <= p_m, which leaves no single-photon
+    signal, gives (0, e, 0): both rates are zero.
     """
     if p_c <= 0.0:
         return 0.0, 0.0, 0.0
@@ -148,7 +143,7 @@ def _gllp_factors(p_c: float, p_e: float, p_m: float) -> tuple[float, float, flo
     if p_c <= p_m:
         return 0.0, e, 0.0
     a = (p_c - p_m) / p_c
-    return a, e, gllp_bracket(a, e)
+    return a, e, a * (1.0 - binary_entropy(min(e / a, 0.5))) - f_ec(e) * binary_entropy(e)
 
 
 def _rate_per_pulse(sift: float, p_c: float, bracket: float) -> float:

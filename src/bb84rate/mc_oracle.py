@@ -180,19 +180,22 @@ def sample_session(src: SourceModel, ch: ChannelModel, det: DetectorModel,
     """Sample one session pulse by pulse; deterministic for a given seed.
 
     Photon numbers follow the source's two-photon distribution
-    (SourceModel.photon_probs). Dead time is applied as mean-field
-    thinning with the analytic factor c_dt, matching the model under test
-    rather than a timeline simulation.
+    (SourceModel.photon_probs). The photon weights, the channel+detector
+    survival, the misalignment and the dead-time inputs are read from the
+    operating point's link (models._link), which the closed-form model
+    shares. Dead time is applied as mean-field thinning with the analytic
+    factor c_dt, matching the model under test rather than a timeline
+    simulation.
     """
     # imported here, not at module level, so that only the oracle loads numpy
     import numpy as np
 
-    att, mis, p_x = protocol.att, det.misalignment, protocol.p_x
-    _, p1, p2 = src.photon_probs
-    f, _ = _raw_click_error(_link(src, ch, det), att)
-    p_c = dead_time_corrected_click(f, src.rep_rate, det.dead_time)
+    att, p_x = protocol.att, protocol.p_x
+    link = _link(src, ch, det)
+    p1, p2, s_cd, mis = link.p1, link.p2, link.t_eta, link.misalignment
+    f, _ = _raw_click_error(link, att)
+    p_c = dead_time_corrected_click(f, link.rep_rate, link.dead_time)
     c_dt = p_c / f if f > 0.0 else 1.0
-    s_cd = ch.transmittance * det.det_efficiency
 
     rng = np.random.default_rng(trial.seed)
     buf = np.empty(min(trial.n_pulses, _CHUNK))

@@ -3,36 +3,39 @@
 The rate surface has floor and clamp kinks, so optimization is a
 deterministic coarse grid over (basis bias, pre-attenuation) followed by
 shrinking-grid refinement around the incumbent, the lexicographic maximum
-of (rate, p_x, att). Only a positive point becomes the incumbent: a search
-whose every rate is zero returns the tie-break point, the top of the
-ranges, so its windows shrink around that corner. In finite mode the
-search is a branch-and-bound over the grid with two upper bounds on the
-key length. The bound from a column's asymptotic bracket never falls as
-p_x rises, so it cuts each column once: the walk starts at the first p_x
-whose bound may beat the incumbent, and a column whose bracket proves
-every key length zero keeps no point. Each remaining point whose
-practical-leak bound cannot beat the incumbent is skipped before its exact
-key length and so before the F^-1 of lambda_ec. Most points end there, so
-that bound runs on plain floats: the float cores of finitekey, with what
-every point of a column shares read once per column (-ln(eps_pe),
-eps_sec/6 and the two log2 costs of ell, which SecurityParams derives
-once, and H(e_x)). Only a point that passes it builds its SessionCounts
-and FiniteKeyResult. A skipped point could never have become the
-incumbent, so the result is that of evaluating every grid point.
+of (rate, p_x, att). The first incumbent is the tie-break corner, the top
+of both ranges at rate zero, so only a positive point replaces it, and a
+search whose every rate is zero shrinks its windows around that corner and
+returns it. In finite mode the search is a branch-and-bound over the grid
+with two upper bounds on the key length. The bound from a column's
+asymptotic bracket never falls as p_x rises, so it cuts each column once:
+the walk starts at the first p_x whose bound may beat the incumbent, and a
+column whose bracket proves every key length zero keeps no point. Each
+remaining point whose practical-leak bound cannot beat the incumbent is
+skipped before its exact key length and so before the F^-1 of lambda_ec.
+Most points end there, so that bound runs on plain floats: the float cores
+of finitekey, with what every point of a column shares read once per
+column (-ln(eps_pe), eps_sec/6 and the two log2 costs of ell, which
+SecurityParams derives once, and H(e_x)). Only a point that passes it
+builds its SessionCounts and FiniteKeyResult. A skipped point could never
+have become the incumbent, so the result is that of evaluating every grid
+point.
 
 Asymptotic mode has no bound to prune with: the closed-form rate is its
-own cheapest bound, so every grid point is evaluated, on plain floats.
-The operating point's link (models._link) is derived once, the column of
-an att runs the shared click/error core and asymptotic_rate's float rule
-for p_c, p_m and the GLLP bracket once, and a point's rate is one product,
-asymptotic_rate's rate_per_pulse bit for bit. No point builds a result:
-optimize_point builds the winner's AsymptoticResult, or that of the
-all-zero grid's tie-break point, with one asymptotic_rate call.
+own cheapest bound. At fixed att the rate is sift_ratio(p_x) times a
+factor free of p_x, so a column offers only its top p_x, and each of those
+points is evaluated on plain floats. The operating point's link
+(models._link) is derived once, the column of an att runs the shared
+click/error core and asymptotic_rate's float rule for p_c, p_m and the
+GLLP bracket once, and a point's rate is one product, asymptotic_rate's
+rate_per_pulse bit for bit. No point builds a result: optimize_point
+builds the winner's AsymptoticResult, or that of the all-zero grid's
+tie-break point, with one asymptotic_rate call.
 
 optimize_point and the loss-boundary search consume the same walk, which
-yields each new positive incumbent. The loss search only needs to know
-whether the optimum is positive, so a probe stops at the first yield; it
-answers exactly as the full search would.
+yields the tie-break corner and then each better point. The loss search
+only needs to know whether the optimum is positive, so a probe stops at
+the first positive yield; it answers exactly as the full search would.
 
 A sweep is one optimize_point call per value: the caller builds each
 operating point, and run_sweep turns a point the models reject into a
@@ -44,8 +47,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .asymptotic import (AsymptoticResult, _gllp_factors, _rate_per_pulse, asymptotic_rate, f_ec,
-                         gllp_bracket)
+from .asymptotic import AsymptoticResult, _gllp_factors, _rate_per_pulse, asymptotic_rate, f_ec
 from .entropy import binary_entropy
 from .finitekey import (FiniteKeyResult, SecurityParams, SessionCounts, _practical_ell,
                         _tallies, finite_key_length)
@@ -139,20 +141,24 @@ class _AsymptoticColumn:
                  ) -> tuple[float, None]:
         """The point's (rate, None), asymptotic_rate's rate_per_pulse; to_beat is ignored.
 
-        _round_grids checked the walk's p_x and att once, as ProtocolParams
+        _incumbents checked the walk's top corner once, as ProtocolParams
         would at every point.
         """
         return _rate_per_pulse(_sift_ratio(p_x), self.p_c, self.bracket), None
 
     def candidates(self, p_xs: list[float], to_beat: tuple[float, float, float]) -> list[float]:
-        """Every p_x: the closed-form rate needs no bound."""
-        return p_xs
+        """The top p_x alone.
+
+        At fixed att the rate is sift_ratio(p_x) times a factor free of p_x,
+        and sift_ratio increases on (1/2, 1): under the (rate, p_x, att)
+        tie-break the top of p_xs wins or ties (zero rate). So the p_x
+        window of every round shrinks around the top of the p_x range.
+        """
+        return p_xs[-1:]
 
 
 # Slack of the column bound, relative to the scale n*p_x^2*p_c of the terms of ell
 _BOUND_SLACK = 1e-9
-# A zero rate that wins every tie: only a positive rate beats it
-_ZERO_WINNING_TIES = (0.0, math.inf, math.inf)
 
 
 class _FiniteColumn:
@@ -167,13 +173,11 @@ class _FiniteColumn:
         self.sec, self.att = sec, att
         self.p_c, self.p_e = click_error_probs(src, ch, det, att)
         if self.p_c > 0.0:
-            self.e_x = self.p_e / self.p_c
             self.n_sent = n_sent if n_sent is not None else n_received / self.p_c
             self.p_m = src.attenuated_multiphoton_prob(att)
+            # e = p_e/p_c and the asymptotic bracket A*(1 - H(e/A)) - f_EC(e)*H(e), 0 when A = 0
+            _, self.e_x, self.bracket = _gllp_factors(self.p_c, self.p_e, self.p_m)
             self.fec = f_ec(self.e_x)
-            # the asymptotic bracket A*(1 - H(e/A)) - f_EC(e)*H(e); -inf when A <= 0
-            a = (self.p_c - self.p_m) / self.p_c
-            self.bracket = gllp_bracket(a, self.e_x) if a > 0.0 else -math.inf
             # what every point's practical_ell takes of sec and e_x, derived once
             self.constants = sec._constants
             self.h_e = binary_entropy(self.e_x)
@@ -283,28 +287,15 @@ def _column_maker(
 
 
 def _round_grids(
-    cfg: OptimizationConfig, mode: str, fixed_p_x: float | None, fixed_att: float | None,
+    cfg: OptimizationConfig, p_x_range: tuple[float, float], att_range: tuple[float, float],
     incumbent: Callable[[], tuple[float, float]],
 ) -> Iterator[tuple[list[float], list[float]]]:
-    """Yield the (p_xs, atts) grid of each search round.
+    """Yield the (p_xs, atts) grid of each search round over the given ranges.
 
-    A pinned axis is a one-value range. After each round both windows
-    shrink around incumbent(), the (p_x, att) of the best point so far,
-    clamped into the ranges: the (inf, inf) of a search with no positive
-    point yet is the top corner, where an all-zero search breaks its ties.
+    After each round both windows shrink around incumbent(), the (p_x, att)
+    of the best point so far, which lies inside the ranges.
     """
-    if mode == "asymptotic":
-        if fixed_p_x is None:
-            # At fixed att the rate is sift_ratio(p_x) times a factor free of p_x,
-            # and sift_ratio increases on (1/2, 1): under the (rate, p_x, att)
-            # tie-break the top of the p_x range wins or ties (zero rate).
-            fixed_p_x = cfg.p_x_range[1]
-        # Asymptotic columns evaluate on plain floats. Every point has this p_x,
-        # and an att that is pinned or inside the checked att_range, so one
-        # ProtocolParams raises what the first point's would.
-        ProtocolParams(p_x=fixed_p_x, att=cfg.att_range[1] if fixed_att is None else fixed_att)
-    px_lo0, px_hi0 = cfg.p_x_range if fixed_p_x is None else (fixed_p_x, fixed_p_x)
-    at_lo0, at_hi0 = cfg.att_range if fixed_att is None else (fixed_att, fixed_att)
+    (px_lo0, px_hi0), (at_lo0, at_hi0) = p_x_range, att_range
     px_lo, px_hi = px_lo0, px_hi0
     at_lo, at_hi = at_lo0, at_hi0
     for _ in range(cfg.refinement_rounds + 1):
@@ -313,31 +304,35 @@ def _round_grids(
             atts.append(1.0)
         yield _linspace(px_lo, px_hi, cfg.grid_resolution), atts
         bp, ba = incumbent()
-        bp, ba = min(bp, px_hi0), min(ba, at_hi0)
         pw = (px_hi - px_lo) / (2.0 * cfg.shrink_factor)
         aw = (at_hi - at_lo) / (2.0 * cfg.shrink_factor)
         px_lo, px_hi = max(px_lo0, bp - pw), min(px_hi0, bp + pw)
         at_lo, at_hi = max(at_lo0, ba - aw), min(at_hi0, ba + aw)
 
 
-def _positive_incumbents(
+def _incumbents(
     column_at: Callable[[float], _AsymptoticColumn | _FiniteColumn], cfg: OptimizationConfig,
-    mode: str, *, fixed_p_x: float | None = None, fixed_att: float | None = None,
+    fixed_p_x: float | None = None, fixed_att: float | None = None,
 ) -> Iterator[tuple[float, float, float, FiniteKeyResult | None]]:
-    """Walk the search rounds; yield each new positive incumbent (rate, p_x, att, result).
+    """Walk the search rounds; yield each new incumbent (rate, p_x, att, result).
 
-    The result is None in asymptotic mode, whose columns build none.
-
-    The incumbent starts as a zero rate that wins every tie, so only a
-    positive point replaces it, and while there is none the windows shrink
-    around the top corner. Each column offers only its candidates(), and in
-    finite mode a point whose practical-leak bound cannot beat the
-    incumbent in the (rate, p_x, att) tie-break is skipped too
-    (_FiniteColumn.evaluate). The last value yielded is the optimum; none
-    is yielded exactly when every grid point has rate zero.
+    A pinned axis is a one-value range and an unpinned one the checked
+    range of cfg, so one ProtocolParams at the top corner checks the p_x
+    and att of every grid point, in both modes. The first yield is that
+    corner at rate 0 with no result, the tie-break point: only a positive
+    point beats it, and while none has, the windows shrink around it. Each
+    column offers only its candidates(), and in finite mode a point whose
+    practical-leak bound cannot beat the incumbent in the (rate, p_x, att)
+    tie-break is skipped too (_FiniteColumn.evaluate). The last value
+    yielded is the optimum. A result is None in asymptotic mode, whose
+    columns build none.
     """
-    best = _ZERO_WINNING_TIES
-    for p_xs, atts in _round_grids(cfg, mode, fixed_p_x, fixed_att, lambda: best[1:3]):
+    p_x_range = cfg.p_x_range if fixed_p_x is None else (fixed_p_x, fixed_p_x)
+    att_range = cfg.att_range if fixed_att is None else (fixed_att, fixed_att)
+    ProtocolParams(p_x=p_x_range[1], att=att_range[1])
+    best = (0.0, p_x_range[1], att_range[1], None)
+    yield best
+    for p_xs, atts in _round_grids(cfg, p_x_range, att_range, lambda: best[1:3]):
         for att in atts:
             column = column_at(att)
             for p_x in column.candidates(p_xs, best[:3]):
@@ -364,6 +359,7 @@ def optimize_point(
 
     An all-zero-rate grid returns rate 0 at the tie-break point (the top
     of the searched ranges), evaluated once after the walk for its result.
+    A pin that ProtocolParams rejects raises its ValueError in either mode.
 
     In finite mode a column whose bracket proves every key length zero is
     skipped, and so is a point that a bound proves cannot beat the
@@ -381,20 +377,12 @@ def optimize_point(
     returned here.
     """
     column_at = _column_maker(src, ch, det, mode, sec, n_sent, n_received)
-    best = None
-    for best in _positive_incumbents(column_at, cfg, mode, fixed_p_x=fixed_p_x,
-                                     fixed_att=fixed_att):
-        pass
-    if best is not None:
-        rate, p_x, att, result = best
-    else:  # every grid rate is zero: the tie-break point wins
-        p_x = cfg.p_x_range[1] if fixed_p_x is None else fixed_p_x
-        att = cfg.att_range[1] if fixed_att is None else fixed_att
+    *_, (rate, p_x, att, result) = _incumbents(column_at, cfg, fixed_p_x, fixed_att)
     if mode == "asymptotic":
         # the walk's columns build no result; its rate is this one, bit for bit
         result = asymptotic_rate(src, ch, det, ProtocolParams(p_x=p_x, att=att))
         rate = result.rate_per_pulse
-    elif best is None:
+    elif result is None:  # every grid rate is zero: the tie-break corner wins
         rate, result = column_at(att).evaluate(p_x)
     return OptimizedPoint(
         p_x=p_x, att=att, rate_per_pulse=rate, rate_bps=rate * src.rep_rate, result=result,
@@ -413,7 +401,7 @@ def max_tolerable_loss(
     optimize_params is set, otherwise evaluating standard BB84 (p_x = 1/2,
     no pre-attenuation). A probe only asks whether the optimized rate is
     positive: it walks optimize_point's search and stops at its first
-    positive incumbent, so it answers exactly
+    positive yield, so it answers exactly
     optimize_point(...).rate_per_pulse > 0. If the optimized rate is
     nonincreasing in loss, the rate is positive at boundary - tol and zero
     at boundary + tol on return; the bisection rests on that monotonicity,
@@ -435,7 +423,7 @@ def max_tolerable_loss(
     def positive_at(loss_db: float) -> bool:
         column_at = _column_maker(src, ChannelModel(loss_db=loss_db), det, mode, sec, n_sent,
                                   None)
-        return next(_positive_incumbents(column_at, cfg, mode, **fixed), None) is not None
+        return any(rate > 0.0 for rate, *_ in _incumbents(column_at, cfg, **fixed))
 
     if not positive_at(0.0):
         raise NoPositiveRateError("key rate is zero at 0 dB channel loss")

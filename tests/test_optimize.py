@@ -248,7 +248,7 @@ class TestMaxTolerableLoss:
         # once lo and hi are adjacent doubles the midpoint equals one of them;
         # the search must stop there instead of probing forever
         probes = 0
-        original = optimize._positive_incumbents
+        original = optimize._incumbents
 
         def counted(*args, **kwargs):
             nonlocal probes
@@ -257,7 +257,7 @@ class TestMaxTolerableLoss:
                 raise AssertionError("loss bisection does not terminate")
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(optimize, "_positive_incumbents", counted)
+        monkeypatch.setattr(optimize, "_incumbents", counted)
         tiny = dict(grid_resolution=6, refinement_rounds=1)
         exact = max_tolerable_loss(source, detector,
                                    OptimizationConfig(**tiny, loss_bisection_tol_db=1e-300),
@@ -324,9 +324,10 @@ class TestLossProbe:
                                       **kw).rate_per_pulse > 0.0
         except (ValueError, ArithmeticError):
             return  # the models reject this operating point
-        # the probe of max_tolerable_loss: the walk's first positive incumbent
+        # the probe of max_tolerable_loss: the walk's first positive yield
         column_at = optimize._column_maker(src, ChannelModel(loss), det, mode, sec, n_sent, None)
-        first = next(optimize._positive_incumbents(column_at, cfg, mode, **pinned), None)
+        first = next((found for found in optimize._incumbents(column_at, cfg, **pinned)
+                      if found[0] > 0.0), None)
         assert (first is not None) == positive
         if first is not None:
             # the answer is a grid point whose own rate is positive
@@ -349,7 +350,8 @@ class TestLossProbe:
             return
         consts = 2.0 * math.log2(1.0 / (2.0 * sec.eps_pa)) + math.log2(2.0 / sec.eps_cor)
         assert ell <= max(0.0, n_sent * p_x**2 * column.p_c * column.bracket - consts)
-        if column.candidates([p_x], optimize._ZERO_WINNING_TIES) == []:
+        # the walk's first incumbent: rate 0 at the top corner
+        if column.candidates([p_x], (0.0, p_x, att)) == []:
             assert ell == 0
 
 
@@ -357,12 +359,16 @@ def exhaustive_walk(src, ch, det, cfg, *, mode, sec=SecurityParams(), n_sent=Non
                     n_received=None, fixed_p_x=None, fixed_att=None):
     """optimize_point without bounds: the exact rate at every grid point, in walk order.
 
-    In asymptotic mode every point's rate and result come from asymptotic_rate.
+    In asymptotic mode every point's rate and result come from asymptotic_rate,
+    and the p_x axis is the top of its range, where the rate of each att is largest.
     """
     column_at = optimize._column_maker(src, ch, det, mode, sec, n_sent, n_received)
+    p_x_range = cfg.p_x_range if fixed_p_x is None else (fixed_p_x, fixed_p_x)
+    if mode == "asymptotic":
+        p_x_range = (p_x_range[1], p_x_range[1])
+    att_range = cfg.att_range if fixed_att is None else (fixed_att, fixed_att)
     best = None
-    for p_xs, atts in optimize._round_grids(cfg, mode, fixed_p_x, fixed_att,
-                                            lambda: best[1:3]):
+    for p_xs, atts in optimize._round_grids(cfg, p_x_range, att_range, lambda: best[1:3]):
         for att in atts:
             column = column_at(att) if mode == "finite" else None
             for p_x in p_xs:
@@ -422,9 +428,9 @@ class TestBranchAndBound:
             return
         p_xs = optimize._linspace(*p_x_range, grid_resolution)
         screened = column.p_c <= 0.0 or column.bracket <= 0.0
-        # the walk's incumbent is a positive rate or the zero that wins every tie;
-        # a drawn rate is a fraction of the column's largest rate bound
-        to_beat = optimize._ZERO_WINNING_TIES
+        # the walk's incumbent is a positive rate or its first one, rate 0 at the
+        # top corner; a drawn rate is a fraction of the column's largest rate bound
+        to_beat = (0.0, p_xs[-1], att)
         if beat is not None and not screened:
             rate = beat[0] * column.ell_bound(p_xs[-1]) / column.n_sent
             if rate > 0.0:
@@ -463,7 +469,7 @@ class TestBranchAndBound:
         edge = column(hi)
         p_xs = optimize._linspace(0.505, 0.995, 32)
         assert edge.bracket <= 0.0 < edge.ell_bound(p_xs[-1])
-        assert edge.candidates(p_xs, optimize._ZERO_WINNING_TIES) == []
+        assert edge.candidates(p_xs, (0.0, p_xs[-1], 1.0)) == []
         assert all(edge.evaluate(p_x)[0] == 0.0 for p_x in p_xs)
 
     @settings(max_examples=200, deadline=None)
@@ -590,18 +596,20 @@ class TestAsymptoticKernel:
     @pytest.mark.parametrize("pins", [
         {"fixed_p_x": 1.0}, {"fixed_p_x": 0.0}, {"fixed_p_x": math.nan},
         {"fixed_att": 0.0}, {"fixed_att": 1.5}, {"fixed_att": math.nan},
-        {"fixed_p_x": 1.2, "fixed_att": -1.0},
+        {"fixed_p_x": 1.2, "fixed_att": -1.0}, {"fixed_p_x": 1.5},
     ])
     def test_out_of_range_pin_raises_the_protocol_error(self, source, detector, pins):
         # the error the ProtocolParams of every evaluated point raised before
-        # the float kernel, for a positive and for an all-zero grid
+        # the float kernel, for a positive and for an all-zero grid; finite
+        # points build none, and the walk's one check serves both modes
         with pytest.raises(ValueError) as expected:
             ProtocolParams(p_x=pins.get("fixed_p_x", 0.995), att=pins.get("fixed_att", 1.0))
         cfg = OptimizationConfig(grid_resolution=4, refinement_rounds=1)
-        for loss in (5.0, 200.0):
-            with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
-                optimize_point(source, ChannelModel(loss), detector, cfg, mode="asymptotic",
-                               **pins)
+        for mode in ({"mode": "asymptotic"}, {"mode": "finite", "n_sent": 1e10},
+                     {"mode": "finite", "n_received": 1e6}):
+            for loss in (5.0, 200.0):
+                with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+                    optimize_point(source, ChannelModel(loss), detector, cfg, **mode, **pins)
 
     @pytest.mark.xfail(strict=True, raises=AssertionError,
                        reason="within about 2e-13 dB of a zero crossing the float rate can "
