@@ -12,9 +12,9 @@ The public functions check their inputs and run on unchecked float cores
 that take what they need of SecurityParams as _Constants, derived once
 per SecurityParams: SessionCounts.from_probs on _tallies, chernoff_upper
 on _chernoff, and finite_key_length on _estimates and _ell. The
-optimizer's branch-and-bound calls the cores directly and bounds a grid
-point with _practical_ell, so a pruned point builds no SessionCounts; the
-same operations in the same order give the same bits on either path.
+optimizer's grid points call the cores directly, so a point builds no
+SessionCounts or FiniteKeyResult; the same operations in the same order
+give the same bits on either path.
 
 scipy.special, for the binomial CDF and its inverse, is imported inside
 inverse_binomial_cdf, once per call, and passed on to _binomial_cdf, so
@@ -372,22 +372,6 @@ def finite_key_length(counts: SessionCounts, sec: SecurityParams,
     )
 
 
-def _practical_ell(tallies: tuple[float, float, float, float, float], consts: _Constants,
-                   f_ec_value: float, h_e: float) -> int:
-    """Upper bound on finite_key_length's ell that needs no F^-1, unchecked.
-
-    The key length of SessionCounts.tallies with the practical leak
-    f_EC * n_rx_x * H(e) alone, where h_e = H(e_x_for_ec). lambda_ec is the
-    max of that cost and the information term, so its leak is never
-    smaller; the key length falls as the leak grows, in floating point
-    too, where each subtraction rounds monotonically.
-    """
-    _, _, n_nmp_x, _, _, phi_upper = _estimates(tallies, consts)
-    if phi_upper >= 0.5:
-        return 0
-    return _ell(n_nmp_x, phi_upper, f_ec_value * tallies[0] * h_e, consts)
-
-
 def _estimates(tallies: tuple[float, float, float, float, float],
                consts: _Constants) -> tuple[float, float, float, float, float, float]:
     """(n_mp_upper_x, n_mp_upper_z, n_nmp_x, n_nmp_z, phi_x, phi_x_upper) of SessionCounts.tallies.
@@ -399,7 +383,7 @@ def _estimates(tallies: tuple[float, float, float, float, float],
     1/(2*n_nmp_z)) stands in to stay inside the correction's domain; this
     only raises the bound. phi_x_upper is clamped at 1/2. Both phase-error
     values are 1/2 where no key is possible: no non-multiphoton signal in
-    a basis, or no key-basis detection.
+    a basis, or fewer than one detection in a basis, below gamma_u's domain.
     """
     n_rx_x, n_rx_z, m_z, n_mp_star_x, n_mp_star_z = tallies
     # worst case, every multiphoton emission reaches the receiver, so the
@@ -412,7 +396,7 @@ def _estimates(tallies: tuple[float, float, float, float, float],
     n_nmp_z = n_rx_z - mp_upper_z
     n_nmp_z = n_nmp_z if n_nmp_z > 0.0 else 0.0
     phi, phi_upper = 0.5, 0.5
-    if n_nmp_x > 0.0 and n_nmp_z > 0.0 and n_rx_x >= 1.0:
+    if n_nmp_x > 0.0 and n_nmp_z > 0.0 and n_rx_x >= 1.0 and n_rx_z >= 1.0:
         phi = m_z / n_nmp_z
         lam = phi if phi > 0.0 else 0.5 / n_nmp_z
         if lam < 0.5:

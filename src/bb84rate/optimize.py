@@ -6,31 +6,27 @@ shrinking-grid refinement around the incumbent, the lexicographic maximum
 of (rate, p_x, att). The first incumbent is the tie-break corner, the top
 of both ranges at rate zero, so only a positive point replaces it, and a
 search whose every rate is zero shrinks its windows around that corner and
-returns it. In finite mode the search is a branch-and-bound over the grid
-with two upper bounds on the key length. The bound from a column's
-asymptotic bracket never falls as p_x rises, so it cuts each column once:
-the walk starts at the first p_x whose bound may beat the incumbent, and a
-column whose bracket proves every key length zero keeps no point. Each
-remaining point whose practical-leak bound cannot beat the incumbent is
-skipped before its exact key length and so before the F^-1 of lambda_ec.
-Most points end there, so that bound runs on plain floats: the float cores
-of finitekey, with what every point of a column shares read once per
-column (-ln(eps_pe), eps_sec/6 and the two log2 costs of ell, which
-SecurityParams derives once, and H(e_x)). Only a point that passes it
-builds its SessionCounts and FiniteKeyResult. A skipped point could never
-have become the incumbent, so the result is that of evaluating every grid
-point.
+returns it.
+
+The search walks one att column at a time. A column derives once what
+its points share and rates each point on plain floats, with the float
+cores of asymptotic_rate or finite_key_length and the same operations,
+so bit for bit. No grid point builds a result: optimize_point builds the
+winner's AsymptoticResult or FiniteKeyResult once, with the public
+function.
 
 Asymptotic mode has no bound to prune with: the closed-form rate is its
 own cheapest bound. At fixed att the rate is sift_ratio(p_x) times a
-factor free of p_x, so a column offers only its top p_x, and each of those
-points is evaluated on plain floats. The operating point's link
-(models._link) is derived once, the column of an att runs the shared
-click/error core and asymptotic_rate's float rule for p_c, p_m and the
-GLLP bracket once, and a point's rate is one product, asymptotic_rate's
-rate_per_pulse bit for bit. No point builds a result: optimize_point
-builds the winner's AsymptoticResult, or that of the all-zero grid's
-tie-break point, with one asymptotic_rate call.
+factor free of p_x, so a column offers only its top p_x. In finite mode
+the search is a branch-and-bound over the grid with two upper bounds on
+the key length. The bound from a column's asymptotic bracket never falls
+as p_x rises, so it cuts each column once: the walk starts at the first
+p_x whose bound may beat the incumbent, and a column whose bracket proves
+every key length zero keeps no point. A remaining point whose
+practical-leak bound, computed on the estimates its key length uses,
+cannot beat the incumbent stops there, before the F^-1 of lambda_ec. A
+skipped point could never have become the incumbent, so the result is
+that of evaluating every grid point.
 
 optimize_point and the loss-boundary search consume the same walk, which
 yields the tie-break corner and then each better point. The loss search
@@ -49,8 +45,8 @@ from typing import Callable, Iterable, Iterator
 
 from .asymptotic import AsymptoticResult, _gllp_factors, _rate_per_pulse, asymptotic_rate, f_ec
 from .entropy import binary_entropy
-from .finitekey import (FiniteKeyResult, SecurityParams, SessionCounts, _practical_ell,
-                        _tallies, finite_key_length)
+from .finitekey import (FiniteKeyResult, SecurityParams, SessionCounts, _ell, _estimates,
+                        _tallies, finite_key_length, lambda_ec)
 from .models import (ChannelModel, DetectorModel, ProtocolParams, SourceModel, _click_error, _Link,
                      _link, _sift_ratio, click_error_probs)
 
@@ -133,18 +129,24 @@ class _AsymptoticColumn:
     asymptotic_rate's float rule; a point's rate is then one product.
     """
 
-    def __init__(self, src: SourceModel, link: _Link, att: float) -> None:
+    def __init__(self, src: SourceModel, ch: ChannelModel, det: DetectorModel, link: _Link,
+                 att: float) -> None:
+        self.src, self.ch, self.det, self.att = src, ch, det, att
         self.p_c, p_e = _click_error(link, att)
         self.bracket = _gllp_factors(self.p_c, p_e, src.attenuated_multiphoton_prob(att))[2]
 
-    def evaluate(self, p_x: float, to_beat: tuple[float, float, float] | None = None,
-                 ) -> tuple[float, None]:
-        """The point's (rate, None), asymptotic_rate's rate_per_pulse; to_beat is ignored.
+    def evaluate(self, p_x: float, to_beat: tuple[float, float, float] | None = None) -> float:
+        """The point's rate, asymptotic_rate's rate_per_pulse; to_beat is ignored.
 
         _incumbents checked the walk's top corner once, as ProtocolParams
         would at every point.
         """
-        return _rate_per_pulse(_sift_ratio(p_x), self.p_c, self.bracket), None
+        return _rate_per_pulse(_sift_ratio(p_x), self.p_c, self.bracket)
+
+    def result(self, p_x: float) -> tuple[float, AsymptoticResult]:
+        """The point's (rate, AsymptoticResult), from one asymptotic_rate call."""
+        res = asymptotic_rate(self.src, self.ch, self.det, ProtocolParams(p_x=p_x, att=self.att))
+        return res.rate_per_pulse, res
 
     def candidates(self, p_xs: list[float], to_beat: tuple[float, float, float]) -> list[float]:
         """The top p_x alone.
@@ -178,44 +180,56 @@ class _FiniteColumn:
             # e = p_e/p_c and the asymptotic bracket A*(1 - H(e/A)) - f_EC(e)*H(e), 0 when A = 0
             _, self.e_x, self.bracket = _gllp_factors(self.p_c, self.p_e, self.p_m)
             self.fec = f_ec(self.e_x)
-            # what every point's practical_ell takes of sec and e_x, derived once
+            # what every point's key length takes of sec and e_x, derived once
             self.constants = sec._constants
             self.h_e = binary_entropy(self.e_x)
             self.cost_bits = self.constants.pa_bits + self.constants.cor_bits
 
-    def counts(self, p_x: float) -> SessionCounts:
-        return SessionCounts.from_probs(self.n_sent, p_x, self.p_c, self.p_e, self.p_m)
-
     def evaluate(self, p_x: float, to_beat: tuple[float, float, float] | None = None,
-                 ) -> tuple[float, FiniteKeyResult | None] | None:
-        """The point's (rate, result); None if a bound proves (rate, p_x, att) <= to_beat.
+                 ) -> float | None:
+        """The point's rate; None if a bound proves (rate, p_x, att) <= to_beat.
 
         Such a point cannot win the (rate, p_x, att) tie-break against
-        to_beat. The bound is practical_ell, which needs no F^-1 and builds
-        no SessionCounts; only a point that passes it gets its counts and
-        the exact key length, with the F^-1 of lambda_ec. The walk passes
-        only the points of candidates(), the cheaper bracket cut, to this
-        bound.
+        to_beat. The bound is the key length with the practical leak
+        f_EC*n_rx_x*H(e) alone, which needs no F^-1: lambda_ec is the max
+        of that cost and the information term, so its leak is never
+        smaller, and the key length falls as the leak grows, in floating
+        point too, where each subtraction rounds monotonically. A point
+        that passes it gets lambda_ec on the same estimates. The walk
+        passes only the points of candidates(), the cheaper bracket cut, to
+        this bound.
+
+        The tallies, estimates and key length are those of result(), with
+        the same operations, so the same bits, but with the column's
+        constants and no validated SessionCounts or FiniteKeyResult. The
+        walk calls this only for the points of candidates(), so p_c > 0,
+        and there that validation cannot fail: every tally is at most
+        n_sent, and p_e <= p_c. An infinite n_sent (n_received over a p_c
+        that underflows) makes every rate bound NaN, so candidates() keeps
+        no point of such a column.
+        """
+        tallies = _tallies(self.n_sent, p_x, self.p_c, self.p_e, self.p_m)
+        _, _, n_nmp_x, _, _, phi_upper = _estimates(tallies, self.constants)
+        ell = 0
+        if phi_upper < 0.5:  # tallies[0] is n_rx_x
+            bound = _ell(n_nmp_x, phi_upper, self.fec * tallies[0] * self.h_e, self.constants)
+            if to_beat is not None and not self._beats(bound, p_x, to_beat):
+                return None
+            leak = lambda_ec(tallies[0], self.e_x, self.sec.eps_cor, self.fec)
+            ell = _ell(n_nmp_x, phi_upper, leak, self.constants)
+        # the rate rule of FiniteKeyResult
+        return ell / self.n_sent if self.n_sent > 0 else 0.0
+
+    def result(self, p_x: float) -> tuple[float, FiniteKeyResult | None]:
+        """The point's (rate, FiniteKeyResult), from one finite_key_length call.
+
+        A column that never clicks has rate 0 and no result.
         """
         if self.p_c <= 0.0:
             return 0.0, None
-        if to_beat is not None and not self._beats(self.practical_ell(p_x), p_x, to_beat):
-            return None
-        res = finite_key_length(self.counts(p_x), self.sec, self.e_x, f_ec_value=self.fec)
+        counts = SessionCounts.from_probs(self.n_sent, p_x, self.p_c, self.p_e, self.p_m)
+        res = finite_key_length(counts, self.sec, self.e_x, f_ec_value=self.fec)
         return res.rate, res
-
-    def practical_ell(self, p_x: float) -> int:
-        """_practical_ell of self.counts(p_x).tallies on plain floats, for p_c > 0.
-
-        The same tallies with the same operations, so the same bits, but
-        with the column's constants and no validated SessionCounts. That
-        validation cannot fail where the walk calls this: every tally is at
-        most n_sent, and p_e <= p_c. An infinite n_sent (n_received over a
-        p_c that underflows) makes every rate bound NaN, so candidates()
-        keeps no point of such a column.
-        """
-        return _practical_ell(_tallies(self.n_sent, p_x, self.p_c, self.p_e, self.p_m),
-                              self.constants, self.fec, self.h_e)
 
     def ell_bound(self, p_x: float) -> float:
         """Upper bound on ell at p_x from the column's asymptotic bracket.
@@ -283,7 +297,7 @@ def _column_maker(
     if n_sent is not None or n_received is not None:
         raise ValueError("asymptotic mode takes neither n_sent nor n_received")
     link = _link(src, ch, det)
-    return lambda att: _AsymptoticColumn(src, link, att)
+    return lambda att: _AsymptoticColumn(src, ch, det, link, att)
 
 
 def _round_grids(
@@ -313,32 +327,31 @@ def _round_grids(
 def _incumbents(
     column_at: Callable[[float], _AsymptoticColumn | _FiniteColumn], cfg: OptimizationConfig,
     fixed_p_x: float | None = None, fixed_att: float | None = None,
-) -> Iterator[tuple[float, float, float, FiniteKeyResult | None]]:
-    """Walk the search rounds; yield each new incumbent (rate, p_x, att, result).
+) -> Iterator[tuple[float, float, float]]:
+    """Walk the search rounds; yield each new incumbent (rate, p_x, att).
 
     A pinned axis is a one-value range and an unpinned one the checked
     range of cfg, so one ProtocolParams at the top corner checks the p_x
     and att of every grid point, in both modes. The first yield is that
-    corner at rate 0 with no result, the tie-break point: only a positive
-    point beats it, and while none has, the windows shrink around it. Each
-    column offers only its candidates(), and in finite mode a point whose
-    practical-leak bound cannot beat the incumbent in the (rate, p_x, att)
-    tie-break is skipped too (_FiniteColumn.evaluate). The last value
-    yielded is the optimum. A result is None in asymptotic mode, whose
-    columns build none.
+    corner at rate 0, the tie-break point: only a positive point beats it,
+    and while none has, the windows shrink around it. Each column offers
+    only its candidates(), and in finite mode a point whose practical-leak
+    bound cannot beat the incumbent in the (rate, p_x, att) tie-break is
+    skipped too (_FiniteColumn.evaluate). Every rate is a column's float
+    rate; no point builds a result. The last value yielded is the optimum.
     """
     p_x_range = cfg.p_x_range if fixed_p_x is None else (fixed_p_x, fixed_p_x)
     att_range = cfg.att_range if fixed_att is None else (fixed_att, fixed_att)
     ProtocolParams(p_x=p_x_range[1], att=att_range[1])
-    best = (0.0, p_x_range[1], att_range[1], None)
+    best = (0.0, p_x_range[1], att_range[1])
     yield best
-    for p_xs, atts in _round_grids(cfg, p_x_range, att_range, lambda: best[1:3]):
+    for p_xs, atts in _round_grids(cfg, p_x_range, att_range, lambda: best[1:]):
         for att in atts:
             column = column_at(att)
-            for p_x in column.candidates(p_xs, best[:3]):
-                found = column.evaluate(p_x, best[:3])
-                if found is not None and (found[0], p_x, att) > best[:3]:
-                    best = (found[0], p_x, att, found[1])
+            for p_x in column.candidates(p_xs, best):
+                rate = column.evaluate(p_x, best)
+                if rate is not None and (rate, p_x, att) > best:
+                    best = (rate, p_x, att)
                     yield best
 
 
@@ -357,9 +370,12 @@ def optimize_point(
     n_received (detections to accumulate), finite and >= 0; asymptotic
     mode needs neither.
 
-    An all-zero-rate grid returns rate 0 at the tie-break point (the top
-    of the searched ranges), evaluated once after the walk for its result.
-    A pin that ProtocolParams rejects raises its ValueError in either mode.
+    The walk rates grid points on plain floats; the winner's result, and
+    with it the reported rate, comes from one asymptotic_rate or
+    finite_key_length call, whose rate is the walk's bit for bit. An
+    all-zero-rate grid returns rate 0 at the tie-break point (the top of
+    the searched ranges). A pin that ProtocolParams rejects raises its
+    ValueError in either mode.
 
     In finite mode a column whose bracket proves every key length zero is
     skipped, and so is a point that a bound proves cannot beat the
@@ -371,22 +387,15 @@ def optimize_point(
     evaluated. In 1,500 random draws (source, detector, eps, ranges, pins,
     grid_resolution 2-9, refinement_rounds 0-4, n_sent or n_received
     1e3-1e12) every result was repr-identical to that of the search
-    evaluating every point; 15 draws raised the same error there and here,
-    5 raised gamma_u's "bound out of regime" at another point, with
-    another log argument in the message, and 7 that raised it there
-    returned here.
+    building the result of every point; 27 draws raised the same error
+    there and here, 5 raised gamma_u's "bound out of regime" at another
+    point, with another log argument in the message, and 2 that raised it
+    there returned here.
     """
     column_at = _column_maker(src, ch, det, mode, sec, n_sent, n_received)
-    *_, (rate, p_x, att, result) = _incumbents(column_at, cfg, fixed_p_x, fixed_att)
-    if mode == "asymptotic":
-        # the walk's columns build no result; its rate is this one, bit for bit
-        result = asymptotic_rate(src, ch, det, ProtocolParams(p_x=p_x, att=att))
-        rate = result.rate_per_pulse
-    elif result is None:  # every grid rate is zero: the tie-break corner wins
-        rate, result = column_at(att).evaluate(p_x)
-    return OptimizedPoint(
-        p_x=p_x, att=att, rate_per_pulse=rate, rate_bps=rate * src.rep_rate, result=result,
-    )
+    *_, (_, p_x, att) = _incumbents(column_at, cfg, fixed_p_x, fixed_att)
+    rate, result = column_at(att).result(p_x)
+    return OptimizedPoint(p_x, att, rate, rate * src.rep_rate, result)
 
 
 def max_tolerable_loss(

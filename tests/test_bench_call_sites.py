@@ -6,13 +6,14 @@ The table is read from the file, not imported, so the guard runs no
 benchmark code. The other tests pin the signatures, config fields and call
 paths that bench/worker.py and bench/tracer.py use, so a signature purge
 fails here instead of in a benchmark run, and the exact call counts of the
-default finite, asymptotic and maxloss commands (for asymptotic, both the
-grid points the float kernel evaluates and the one asymptotic_rate result
-per output row), with the SessionCounts that maxloss builds. Those counts
-are literals here: the reference_counts in bench/baseline.json still hold
-the finite count from before optimize_point's branch-and-bound (5,069
-bdtrik calls) and the asymptotic count from before the float kernel (5,772
-asymptotic_rate calls, now 36).
+default finite, asymptotic and maxloss commands: the bdtrik calls of the
+finite key lengths, the asymptotic grid points the float kernel rates, the
+one estimate pass per finite grid point and the results, which only
+optimize_point builds, one per call. Those counts are literals here: the
+reference_counts in bench/baseline.json still hold the finite count from
+before optimize_point's branch-and-bound (5,069 bdtrik calls) and the
+asymptotic count from before the float kernel (5,772 asymptotic_rate
+calls, now 36).
 """
 import ast
 import collections
@@ -135,30 +136,40 @@ def test_default_commands_keep_the_reference_counts(tmp_path, monkeypatch):
         calls.clear()
         assert cli.main([command, "--out", str(tmp_path / f"{command}.csv")]) == 0
         per_command[command] = dict(calls)
-    assert per_command["finite"] == {"bdtrik": 219}
+    # finite grid points compute lambda_ec on the column's float path, and the
+    # winner's result computes it once more (219 and 17,134 before results
+    # were built only by optimize_point)
+    assert per_command["finite"] == {"bdtrik": 220}
     assert per_command["asymptotic"] == {"asymptotic_kernel": 5772, "asymptotic_rate": 36}
     # the loss search's walk: a regression shows here as a count, not only as time
-    assert per_command["maxloss"] == {"bdtrik": 17134}
+    assert per_command["maxloss"] == {"bdtrik": 17139}
 
 
-def test_default_maxloss_builds_counts_only_for_exact_key_lengths(tmp_path, monkeypatch):
-    # a point the practical-leak bound prunes is bounded on plain floats, so only
-    # the points that get an exact key length build a validated SessionCounts
-    # (every one of the 87,448 evaluated points built one before)
+def test_default_maxloss_builds_results_only_in_optimize_point(tmp_path, monkeypatch):
+    # a grid point is rated on plain floats with one estimate pass, pruned or
+    # not; only optimize_point builds a SessionCounts and FiniteKeyResult, for
+    # its winner (17,139 of each were built before, one per exact key length)
     from bb84rate import cli, finitekey, optimize
     calls = collections.Counter()
-    post_init = finitekey.SessionCounts.__post_init__
-    finite_key_length = optimize.finite_key_length
 
-    def counted_post_init(self):
-        calls["SessionCounts"] += 1
-        post_init(self)
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
 
-    def counted_finite_key_length(*args, **kwargs):
-        calls["finite_key_length"] += 1
-        return finite_key_length(*args, **kwargs)
-
-    monkeypatch.setattr(finitekey.SessionCounts, "__post_init__", counted_post_init)
-    monkeypatch.setattr(optimize, "finite_key_length", counted_finite_key_length)
+    monkeypatch.setattr(finitekey.SessionCounts, "__post_init__",
+                        counted("SessionCounts", finitekey.SessionCounts.__post_init__))
+    monkeypatch.setattr(optimize, "finite_key_length",
+                        counted("finite_key_length", optimize.finite_key_length))
+    monkeypatch.setattr(optimize._FiniteColumn, "evaluate",
+                        counted("grid_point", optimize._FiniteColumn.evaluate))
+    # the walk's binding and finite_key_length's
+    monkeypatch.setattr(optimize, "_estimates", counted("_estimates", optimize._estimates))
+    monkeypatch.setattr(finitekey, "_estimates", counted("_estimates", finitekey._estimates))
+    for module in (cli, optimize):  # the reported points and the loss-cap checks
+        monkeypatch.setattr(module, "optimize_point",
+                            counted("optimize_point", module.optimize_point))
     assert cli.main(["maxloss", "--out", str(tmp_path / "maxloss.csv")]) == 0
-    assert calls == {"SessionCounts": 17139, "finite_key_length": 17139}
+    assert calls == {"optimize_point": 10, "SessionCounts": 10, "finite_key_length": 10,
+                     "grid_point": 87443, "_estimates": 87453}

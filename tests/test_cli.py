@@ -140,6 +140,21 @@ class TestFiniteCommand:
         assert rates[0] > 0.0
         assert rates[0] == pytest.approx(rates[1], rel=0.02)
 
+    def test_less_than_one_pe_detection_is_an_ok_row(self, tmp_path):
+        # at eps_prime = 0.2 the Z block of 5 received detections is below one
+        # detection but above the Chernoff cap; that row was once an error row
+        # ("n and k must be finite and >= 1") between two ok rows
+        cfg = write(tmp_path / "run.ini",
+                    "[security]\neps_prime = 0.2\n[finite]\nblock_sizes_received = 1.5,2,5\n"
+                    "[optimizer]\np_x_max = 0.6\n")
+        out = tmp_path / "fin.csv"
+        assert main(["finite", "--config", cfg, "--out", str(out)]) == 0
+        _, header, rows = read_result_csv(str(out))
+        assert [r[header.index("status")] for r in rows] == ["ok"] * 3
+        assert [int(r[header.index("ell")]) for r in rows] == [0] * 3
+        assert 0.0 < float(rows[2][header.index("n_rx_z")]) < 1.0
+        assert float(rows[2][header.index("phi_x_upper")]) == 0.5
+
     def test_block_size_rows_ordered(self, tmp_path):
         cfg = write(tmp_path / "run.ini",
                     FAST_OPT + "[channel]\nloss_db = 0\n"

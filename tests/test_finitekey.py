@@ -217,6 +217,15 @@ class TestPhaseErrorUpper:
         assert res.n_nmp_z == 0.0
         assert res.phi_x_upper == 0.5 and res.ell == 0
 
+    def test_less_than_one_pe_detection_gives_no_key(self):
+        # at eps_prime = 0.2, -ln(eps_pe) ~ 0.22 is below n_rx_z = 0.9, so
+        # n_nmp_z > 0, but a Z block under one detection is outside gamma_u's
+        # domain; it once raised "n and k must be finite and >= 1"
+        counts = SessionCounts(1000.0, 100.0, 0.9, 0.001, 0.0, 0.0)
+        res = finite_key_length(counts, SecurityParams(eps_prime=0.2), 0.01, 1.16)
+        assert res.n_nmp_z > 0.0
+        assert res.phi_x_upper == 0.5 and res.ell == 0
+
 
 class TestInverseBinomialCdf:
     def test_half_quantile_convention(self):
@@ -430,14 +439,18 @@ class TestFiniteKeyLength:
     def test_practical_leak_bounds_the_key_length(self, log_n_sent, p_x, log_p_c, e,
                                                   log_multi_share, log_eps_prime, log_eps_cor):
         # lambda_ec is a max over the practical cost, so the key length with
-        # that cost alone is never shorter: the loss search's point screen
+        # that cost alone is never shorter: the optimizer's point screen
         p_c = 10.0**log_p_c
         counts = SessionCounts.from_probs(10.0**log_n_sent, p_x, p_c, e * p_c,
                                           10.0**log_multi_share * p_c)
         sec = SecurityParams(eps_prime=10.0**log_eps_prime, eps_cor=10.0**log_eps_cor)
         try:
-            ell = finite_key_length(counts, sec, e, f_ec(e)).ell
+            res = finite_key_length(counts, sec, e, f_ec(e))
         except ValueError:  # gamma_u out of its regime
             return
-        assert ell <= finitekey._practical_ell(counts.tallies, sec._constants, f_ec(e),
-                                               binary_entropy(e))
+        if res.phi_x_upper >= 0.5:
+            assert res.ell == 0
+            return
+        practical_leak = f_ec(e) * counts.n_rx_x * binary_entropy(e)
+        assert res.ell <= finitekey._ell(res.n_nmp_x, res.phi_x_upper, practical_leak,
+                                         sec._constants)

@@ -12,7 +12,7 @@ from bb84rate import (ChannelModel, DetectorModel, NoPositiveRateError, Optimiza
                       asymptotic_rate, finite_key_length, expected_counts, click_error_probs,
                       f_ec, max_tolerable_loss, optimize_point, run_sweep)
 from bb84rate.entropy import binary_entropy
-from bb84rate.finitekey import _practical_ell
+from bb84rate.finitekey import _ell
 from bb84rate.models import _link
 
 
@@ -345,7 +345,7 @@ class TestLossProbe:
         try:
             column = optimize._FiniteColumn(src, ChannelModel(loss), det, att, sec, n_sent,
                                             None)
-            ell = column.evaluate(p_x)[1].ell
+            ell = column.result(p_x)[1].ell
         except (ValueError, ArithmeticError):
             return
         consts = 2.0 * math.log2(1.0 / (2.0 * sec.eps_pa)) + math.log2(2.0 / sec.eps_cor)
@@ -359,8 +359,9 @@ def exhaustive_walk(src, ch, det, cfg, *, mode, sec=SecurityParams(), n_sent=Non
                     n_received=None, fixed_p_x=None, fixed_att=None):
     """optimize_point without bounds: the exact rate at every grid point, in walk order.
 
-    In asymptotic mode every point's rate and result come from asymptotic_rate,
-    and the p_x axis is the top of its range, where the rate of each att is largest.
+    Every point's rate and result come from the column's result(), so from
+    asymptotic_rate or finite_key_length. In asymptotic mode the p_x axis is
+    the top of its range, where the rate of each att is largest.
     """
     column_at = optimize._column_maker(src, ch, det, mode, sec, n_sent, n_received)
     p_x_range = cfg.p_x_range if fixed_p_x is None else (fixed_p_x, fixed_p_x)
@@ -370,13 +371,9 @@ def exhaustive_walk(src, ch, det, cfg, *, mode, sec=SecurityParams(), n_sent=Non
     best = None
     for p_xs, atts in optimize._round_grids(cfg, p_x_range, att_range, lambda: best[1:3]):
         for att in atts:
-            column = column_at(att) if mode == "finite" else None
+            column = column_at(att)
             for p_x in p_xs:
-                if column is None:
-                    result = asymptotic_rate(src, ch, det, ProtocolParams(p_x=p_x, att=att))
-                    rate = result.rate_per_pulse
-                else:
-                    rate, result = column.evaluate(p_x)
+                rate, result = column.result(p_x)
                 if best is None or (rate, p_x, att) > best[:3]:
                     best = (rate, p_x, att, result)
     rate, p_x, att, result = best
@@ -450,8 +447,8 @@ class TestBranchAndBound:
                 found = column.evaluate(p_x, best)
             except (ValueError, ArithmeticError):
                 return
-            if found is not None and (found[0], p_x, att) > best:
-                best = (found[0], p_x, att)
+            if found is not None and (found, p_x, att) > best:
+                best = (found, p_x, att)
 
     def test_bracket_cut_keeps_the_column_screen(self, source):
         # a bracket of exactly 0 proves ell = 0 at every p_x, although the
@@ -470,7 +467,7 @@ class TestBranchAndBound:
         p_xs = optimize._linspace(0.505, 0.995, 32)
         assert edge.bracket <= 0.0 < edge.ell_bound(p_xs[-1])
         assert edge.candidates(p_xs, (0.0, p_xs[-1], 1.0)) == []
-        assert all(edge.evaluate(p_x)[0] == 0.0 for p_x in p_xs)
+        assert all(edge.result(p_x)[0] == 0.0 for p_x in p_xs)
 
     @settings(max_examples=200, deadline=None)
     @given(src=sources, det=detectors, sec=securities, loss=st.floats(0.0, 35.0),
@@ -478,47 +475,56 @@ class TestBranchAndBound:
            log_n_sent=st.floats(4.0, 13.0))
     def test_point_bounds_dominate_the_key_length(self, src, det, sec, loss, att, p_x,
                                                   log_n_sent):
-        # the bounds the walk prunes with, cheapest first: column bound >=
-        # _practical_ell of the counts >= ell, with equality where the practical leak wins
+        # the bounds the walk prunes with, cheapest first: column bound >= the
+        # key length with the practical leak alone >= ell, with equality where
+        # the practical leak wins
         try:
             column = optimize._FiniteColumn(src, ChannelModel(loss), det, att, sec,
                                             10.0**log_n_sent, None)
-            counts = column.counts(p_x)
-            res = column.evaluate(p_x)[1]
+            res = column.result(p_x)[1]
         except (ValueError, ArithmeticError):
             return
-        practical = _practical_ell(counts.tallies, sec._constants, column.fec,
-                                   binary_entropy(column.e_x))
+        practical_leak = column.fec * res.counts.n_rx_x * binary_entropy(column.e_x)
+        practical = 0
+        if res.phi_x_upper < 0.5:
+            practical = _ell(res.n_nmp_x, res.phi_x_upper, practical_leak, sec._constants)
         assert res.ell <= practical <= column.ell_bound(p_x)
-        if res.lambda_ec == column.fec * counts.n_rx_x * binary_entropy(column.e_x):
+        if res.lambda_ec == practical_leak:
             assert practical == res.ell
 
+
+class TestFiniteKernel:
     @settings(max_examples=400, deadline=None)
     @given(src=sources, det=detectors, sec=securities, loss=st.floats(0.0, 35.0),
            att=st.floats(0.01, 1.0), p_x=st.floats(0.5, 0.999),
-           block=st.sampled_from(["n_sent", "n_received"]), log_n=st.floats(3.0, 13.0))
-    def test_practical_ell_matches_validated_counts(self, src, det, sec, loss, att, p_x, block,
-                                                    log_n):
-        # the walk's float bound with the column's constants and the same
-        # core on validated counts are one computation: the same key
-        # length, or the same exception
+           block=st.sampled_from(["n_sent", "n_received"]), log_n=st.floats(3.0, 13.0),
+           beat=st.tuples(st.floats(0.0, 1.5), st.floats(0.5, 1.0), st.floats(0.01, 1.0)))
+    def test_column_rate_is_finite_key_length_bit_for_bit(self, src, det, sec, loss, att, p_x,
+                                                          block, log_n, beat):
+        # the walk's float rate and the result optimize_point builds are one
+        # computation: the same rate, or the same exception; and a bound prunes
+        # only a point that cannot beat to_beat
         blocks = {"n_sent": None, "n_received": None, block: 10.0**log_n}
         try:
             column = optimize._FiniteColumn(src, ChannelModel(loss), det, att, sec, **blocks)
         except (ValueError, ArithmeticError):
             return
         if column.p_c <= 0.0:
-            return  # evaluate needs no bound there
+            return  # candidates() keeps no point of such a column
         try:
-            counts = column.counts(p_x)
-            expected = _practical_ell(counts.tallies, sec._constants, column.fec,
-                                      binary_entropy(column.e_x))
+            expected = column.result(p_x)[0]
         except (ValueError, ArithmeticError) as exc:
-            with pytest.raises(type(exc)) as raised:
-                column.practical_ell(p_x)
-            assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                column.evaluate(p_x)
             return
-        assert column.practical_ell(p_x) == expected
+        assert column.evaluate(p_x).hex() == expected.hex()
+        # a drawn incumbent whose rate is 0 to 1.5 times the point's
+        to_beat = (beat[0] * expected, beat[1], beat[2])
+        pruned = column.evaluate(p_x, to_beat)
+        if pruned is None:
+            assert (expected, p_x, att) <= to_beat
+        else:
+            assert pruned.hex() == expected.hex()
 
 
 def asymptotic_column(src, ch, det, att):
@@ -540,8 +546,7 @@ class TestAsymptoticKernel:
             with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
                 asymptotic_column(src, ch, det, att).evaluate(p_x)
             return
-        rate, result = asymptotic_column(src, ch, det, att).evaluate(p_x)
-        assert result is None
+        rate = asymptotic_column(src, ch, det, att).evaluate(p_x)
         assert rate.hex() == expected.rate_per_pulse.hex()
 
     @pytest.mark.parametrize("case, src, det, loss, att", [
@@ -561,7 +566,7 @@ class TestAsymptoticKernel:
         assert hit[case]
         for p_x in (0.5, 0.7, 0.995):
             expected = asymptotic_rate(src, ch, det, ProtocolParams(p_x=p_x, att=att))
-            assert column.evaluate(p_x)[0].hex() == expected.rate_per_pulse.hex()
+            assert column.evaluate(p_x).hex() == expected.rate_per_pulse.hex()
         cfg = OptimizationConfig(grid_resolution=5, refinement_rounds=2)
         for pins in ({}, {"fixed_att": att}):
             assert (repr(optimize_point(src, ch, det, cfg, mode="asymptotic", **pins))
