@@ -11,14 +11,21 @@ f_EC * n * H(e) cost.
 The public functions check their inputs and run on unchecked float cores
 that take what they need of SecurityParams as _Constants, derived once
 per SecurityParams: SessionCounts.from_probs on _tallies, chernoff_upper
-on _chernoff, and finite_key_length on _estimates and _ell. The
+on _chernoff, finite_key_length on _estimates and _ell, lambda_ec on
+_lambda_ec and inverse_binomial_cdf on _binomial_quantile. The
 optimizer's grid points call the cores directly, so a point builds no
 SessionCounts or FiniteKeyResult; the same operations in the same order
 give the same bits on either path.
 
+F^-1 is a walk on the binomial CDF that is exact from any start.
+inverse_binomial_cdf starts it from scipy's continuous inverse, bdtrik;
+a grid column, whose points share eps_cor and e_x, calls bdtrik once and
+starts every later point from that anchor (_AnchoredQuantile).
+
 scipy.special, for the binomial CDF and its inverse, is imported inside
-inverse_binomial_cdf, once per call, and passed on to _binomial_cdf, so
-a command that computes no finite key never loads scipy.
+inverse_binomial_cdf and _AnchoredQuantile, once per call, and passed on
+to _binomial_quantile, so a command that computes no finite key never
+loads scipy.
 """
 from __future__ import annotations
 
@@ -26,7 +33,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .entropy import binary_entropy
 from .models import ChannelModel, DetectorModel, ProtocolParams, SourceModel, click_error_probs
@@ -276,31 +283,49 @@ def _binomial_cdf(_sp, m: int, n: int, q: float) -> float:
     return float(_sp.betainc(n - m, m + 1, 1.0 - q)) if m < n else 1.0
 
 
-def inverse_binomial_cdf(eps: float, n: int, q: float) -> int:
-    """Largest integer m with Binomial(n, q) CDF at m no larger than eps.
-
-    Returns -1 when even CDF(0) exceeds eps (no such m). The continuous
-    inverse of the regularized incomplete beta function supplies a
-    starting point, which is then adjusted with CDF evaluations. n is
-    limited to 1 <= n <= 10**13: the starting point drifts from the answer
-    as n grows (34 steps at 10**12, thousands at 10**14), and each step
-    costs one CDF evaluation.
-    """
+def _check_quantile_args(eps: float, n: int, q: float) -> None:
+    """The input checks of inverse_binomial_cdf."""
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
     if not 1 <= n <= 10**13:
         raise ValueError(f"n must satisfy 1 <= n <= 10**13, got {n}")
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must be in [0, 1], got {q}")
+
+
+def inverse_binomial_cdf(eps: float, n: int, q: float) -> int:
+    """Largest integer m with Binomial(n, q) CDF at m no larger than eps.
+
+    Returns -1 when even CDF(0) exceeds eps (no such m). The continuous
+    inverse of the regularized incomplete beta function supplies a
+    starting point, which _binomial_quantile's walk makes exact. n is
+    limited to 1 <= n <= 10**13: the starting point drifts from the answer
+    as n grows (at eps = 1e-15 and q from 0.5 to 0.999, by up to 15 steps
+    at 10**12, 208 at 10**13 and 1,528 at 10**14), and each step costs one
+    CDF evaluation.
+    """
+    _check_quantile_args(eps, n, q)
     # imported here, not at module level, so that only finite-key commands load scipy
     import scipy.special as _sp
 
-    guess = float(_sp.bdtrik(eps, n, q))
-    if math.isfinite(guess):
-        m = min(n, max(0, int(guess)))
+    return _binomial_quantile(_sp, eps, n, q, float(_sp.bdtrik(eps, n, q)))
+
+
+def _binomial_quantile(_sp, eps: float, n: int, q: float, start: float) -> int:
+    """inverse_binomial_cdf(eps, n, q) walked from any start, unchecked.
+
+    The walk starts at start clamped to [0, n], truncated; a NaN start (bdtrik
+    gives up at extreme parameters, e.g. q = 1) bisects on the CDF first,
+    keeping hi infeasible and lo feasible unless no m is. From there the
+    walk evaluates each CDF once: from a start whose CDF exceeds eps it
+    steps down to the first m whose CDF does not (or to -1), otherwise up
+    while the next CDF does not exceed eps. The answer does not depend on
+    the start, only the number of CDF evaluations does: two from the answer
+    or from one above it.
+    """
+    if math.isfinite(start):
+        m = min(n, max(0, int(start)))
     else:
-        # bdtrik gives up at extreme parameters (e.g. q = 1); bisect on the
-        # CDF instead, keeping hi infeasible and lo feasible unless no m is
         lo, hi = 0, n
         while hi - lo > 1:
             mid = (lo + hi) // 2
@@ -309,11 +334,46 @@ def inverse_binomial_cdf(eps: float, n: int, q: float) -> int:
             else:
                 hi = mid
         m = lo
-    while m >= 0 and _binomial_cdf(_sp, m, n, q) > eps:
+    if _binomial_cdf(_sp, m, n, q) > eps:
         m -= 1
-    while m < n and _binomial_cdf(_sp, m + 1, n, q) <= eps:
-        m += 1
+        while m >= 0 and _binomial_cdf(_sp, m, n, q) > eps:
+            m -= 1
+    else:
+        while m < n and _binomial_cdf(_sp, m + 1, n, q) <= eps:
+            m += 1
     return m
+
+
+class _AnchoredQuantile:
+    """inverse_binomial_cdf for a run of calls that share eps and q, with one bdtrik call.
+
+    The first call starts the walk from bdtrik, as inverse_binomial_cdf
+    does, and keeps its n0 and continuous quantile y0 as the anchor. A
+    later call at n starts from the anchor moved by the normal
+    approximation's shift of the quantile,
+
+        y0 + (n - n0)*q - z*(sqrt(n*q*(1-q)) - sqrt(n0*q*(1-q))),  z = -Phi^-1(eps).
+
+    The walk returns the same m from any start, so only the number of CDF
+    evaluations depends on the anchor. The checks are inverse_binomial_cdf's.
+    """
+
+    def __init__(self) -> None:
+        # (n0, y0, z, q*(1-q), sqrt(n0*q*(1-q))), set by the first call
+        self.anchor: tuple[int, float, float, float, float] | None = None
+
+    def __call__(self, eps: float, n: int, q: float) -> int:
+        _check_quantile_args(eps, n, q)
+        import scipy.special as _sp
+
+        if self.anchor is None:
+            start = float(_sp.bdtrik(eps, n, q))
+            var = q * (1.0 - q)
+            self.anchor = (n, start, -float(_sp.ndtri(eps)), var, math.sqrt(n * var))
+        else:
+            n0, y0, z, var, sd0 = self.anchor
+            start = y0 + (n - n0) * q - z * (math.sqrt(n * var) - sd0)
+        return _binomial_quantile(_sp, eps, n, q, start)
 
 
 def lambda_ec(n_x: float, e_x: float, eps_cor: float, f_ec_value: float) -> float:
@@ -331,6 +391,16 @@ def lambda_ec(n_x: float, e_x: float, eps_cor: float, f_ec_value: float) -> floa
     Raises:
         ValueError: if n_x < 1 or e_x is outside [0, 0.5).
     """
+    return _lambda_ec(n_x, e_x, eps_cor, f_ec_value, inverse_binomial_cdf)
+
+
+def _lambda_ec(n_x: float, e_x: float, eps_cor: float, f_ec_value: float,
+               quantile: Callable[[float, int, float], int]) -> float:
+    """lambda_ec with F^-1 from quantile(eps, n, q): inverse_binomial_cdf or an _AnchoredQuantile.
+
+    Both give the same F^-1, so the same bits: the checks and the float
+    rule of the leak are this function's alone.
+    """
     if n_x < 1.0:
         raise ValueError(f"n_x must be >= 1, got {n_x}")
     if not 0.0 <= e_x < 0.5:
@@ -339,7 +409,7 @@ def lambda_ec(n_x: float, e_x: float, eps_cor: float, f_ec_value: float) -> floa
         return 0.0
     h = binary_entropy(e_x)
     practical = f_ec_value * n_x * h
-    f_inv = inverse_binomial_cdf(eps_cor, round(n_x), 1.0 - e_x)
+    f_inv = quantile(eps_cor, round(n_x), 1.0 - e_x)
     info = (n_x * h
             + (n_x * (1.0 - e_x) - f_inv) * math.log2((1.0 - e_x) / e_x)
             - 0.5 * math.log2(n_x)

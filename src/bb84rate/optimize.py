@@ -18,15 +18,23 @@ function.
 Asymptotic mode has no bound to prune with: the closed-form rate is its
 own cheapest bound. At fixed att the rate is sift_ratio(p_x) times a
 factor free of p_x, so a column offers only its top p_x. In finite mode
-the search is a branch-and-bound over the grid with two upper bounds on
-the key length. The bound from a column's asymptotic bracket never falls
-as p_x rises, so it cuts each column once: the walk starts at the first
-p_x whose bound may beat the incumbent, and a column whose bracket proves
-every key length zero keeps no point. A remaining point whose
-practical-leak bound, computed on the estimates its key length uses,
-cannot beat the incumbent stops there, before the F^-1 of lambda_ec. A
-skipped point could never have become the incumbent, so the result is
-that of evaluating every grid point.
+the search is a branch-and-bound over the grid with three cuts, each an
+upper bound on the key length:
+- bracket: the bound from a column's asymptotic bracket never falls as
+  p_x rises, so the walk starts at the first p_x whose bound may beat the
+  incumbent, and a column whose bracket proves every key length zero
+  keeps no point;
+- interval: one bound on the practical-leak key length over the whole
+  remaining p_x interval, from the terms of that key length at its ends,
+  ends a column that cannot beat the incumbent with one check;
+- practical leak: a remaining point whose practical-leak bound, computed
+  on the estimates its key length uses, cannot beat the incumbent stops
+  there, before the F^-1 of lambda_ec.
+A skipped point could never have become the incumbent, so the result is
+that of evaluating every grid point. The points of a column that reach
+F^-1 share eps_cor and e_x, so they share one bdtrik call: the first
+anchors the start of every later walk on the CDF, which is exact from
+any start.
 
 optimize_point and the loss-boundary search consume the same walk, which
 yields the tie-break corner and then each better point. The loss search
@@ -45,8 +53,8 @@ from typing import Callable, Iterable, Iterator
 
 from .asymptotic import AsymptoticResult, _gllp_factors, _rate_per_pulse, asymptotic_rate, f_ec
 from .entropy import binary_entropy
-from .finitekey import (FiniteKeyResult, SecurityParams, SessionCounts, _ell, _estimates,
-                        _tallies, finite_key_length, lambda_ec)
+from .finitekey import (FiniteKeyResult, SecurityParams, SessionCounts, _AnchoredQuantile,
+                        _chernoff, _ell, _estimates, _lambda_ec, _tallies, finite_key_length)
 from .models import (ChannelModel, DetectorModel, ProtocolParams, SourceModel, _click_error, _Link,
                      _link, _sift_ratio, click_error_probs)
 
@@ -184,6 +192,8 @@ class _FiniteColumn:
             self.constants = sec._constants
             self.h_e = binary_entropy(self.e_x)
             self.cost_bits = self.constants.pa_bits + self.constants.cor_bits
+            # F^-1 of lambda_ec, at the column's eps_cor and 1 - e_x, from one bdtrik anchor
+            self.quantile = _AnchoredQuantile()
 
     def evaluate(self, p_x: float, to_beat: tuple[float, float, float] | None = None,
                  ) -> float | None:
@@ -195,9 +205,11 @@ class _FiniteColumn:
         of that cost and the information term, so its leak is never
         smaller, and the key length falls as the leak grows, in floating
         point too, where each subtraction rounds monotonically. A point
-        that passes it gets lambda_ec on the same estimates. The walk
-        passes only the points of candidates(), the cheaper bracket cut, to
-        this bound.
+        that passes it gets lambda_ec on the same estimates, with F^-1
+        walked from the column's anchor, which gives the same F^-1 as
+        inverse_binomial_cdf and raises its errors. The walk passes only
+        the points of candidates(), the cheaper bracket and interval cuts,
+        to this bound.
 
         The tallies, estimates and key length are those of result(), with
         the same operations, so the same bits, but with the column's
@@ -215,7 +227,7 @@ class _FiniteColumn:
             bound = _ell(n_nmp_x, phi_upper, self.fec * tallies[0] * self.h_e, self.constants)
             if to_beat is not None and not self._beats(bound, p_x, to_beat):
                 return None
-            leak = lambda_ec(tallies[0], self.e_x, self.sec.eps_cor, self.fec)
+            leak = _lambda_ec(tallies[0], self.e_x, self.sec.eps_cor, self.fec, self.quantile)
             ell = _ell(n_nmp_x, phi_upper, leak, self.constants)
         # the rate rule of FiniteKeyResult
         return ell / self.n_sent if self.n_sent > 0 else 0.0
@@ -252,6 +264,47 @@ class _FiniteColumn:
         scale = self.n_sent * p_x * p_x * self.p_c
         return max(0.0, scale * (self.bracket + _BOUND_SLACK) - self.cost_bits)
 
+    def interval_bound(self, a: float, b: float) -> float:
+        """Upper bound on the practical-leak key length at every p_x in [a, b].
+
+        evaluate() prunes with the key length whose leak is the practical
+        f_EC*n_rx_x*H(e) alone, and it is positive only where
+        phi_upper < 1/2. Each of its terms is monotone in p_x over the
+        interval, so its value at a or at b bounds the term at every point:
+        - n_nmp_x = n_rx_x - chernoff(n_mp_star_x) <= n*b^2*p_c -
+          chernoff(n*a^2*p_m), since n_rx_x = n*p_x^2*p_c and the Chernoff
+          cap (1 + delta)*x = x + (beta + sqrt(8*beta*x + beta^2))/2 rises
+          with its mean x = n*p_x^2*p_m;
+        - phi_upper >= phi = m_z/n_nmp_z >= phi(a). With u = n*(1 - p_x)^2,
+          n_nmp_z/m_z = (p_c - p_m - s(u))/p_e, where the Chernoff slack
+          per Z count, s(u) = (beta + sqrt(8*beta*u*p_m + beta^2))/(2*u),
+          falls in u; u falls as p_x rises, so phi rises while n_nmp_z > 0.
+          Once n_nmp_z is 0 it stays 0 as p_x rises, and no key is left,
+          as there is none where phi(a) >= 1/2. Dropping the sampling
+          correction gamma_u >= 0 only raises the bound;
+        - H rises on [0, 1/2], and phi(a) <= phi_upper < 1/2 wherever ell
+          can be positive, so 1 - H(phi_upper) <= 1 - H(min(phi(a), 1/2));
+        - the practical leak f_EC*n*p_x^2*p_c*H(e) >= its value at a.
+        Both factors of the first term are non-negative where ell can be
+        positive, so
+
+            ell_practical <= (n*b^2*p_c - chernoff(n*a^2*p_m)) * (1 - H(phi(a)))
+                             - f_EC*n*a^2*p_c*H(e) - 2*log2(1/(2*eps_pa)) - log2(2/eps_cor).
+
+        As in ell_bound, the bound returned is widened by _BOUND_SLACK
+        times n*b^2*p_c, the scale of each term, far above their few
+        roundings, and clamped at 0.
+        """
+        n_rx_x = _tallies(self.n_sent, b, self.p_c, self.p_e, self.p_m)[0]
+        n_rx_x_a, n_rx_z, m_z, n_mp_star_x, n_mp_star_z = _tallies(self.n_sent, a, self.p_c,
+                                                                   self.p_e, self.p_m)
+        beta = self.constants.beta
+        n_nmp_z = n_rx_z - _chernoff(n_mp_star_z, beta)
+        phi = min(0.5, m_z / n_nmp_z) if n_nmp_z > 0.0 else 0.5
+        raw = ((n_rx_x - _chernoff(n_mp_star_x, beta)) * (1.0 - binary_entropy(phi))
+               - self.fec * n_rx_x_a * self.h_e - self.cost_bits)
+        return max(0.0, raw + _BOUND_SLACK * n_rx_x)
+
     def _beats(self, ell_bound: float, p_x: float, to_beat: tuple[float, float, float]) -> bool:
         """Whether a point of this column with ell <= ell_bound may beat to_beat."""
         # the rate rule of FiniteKeyResult
@@ -259,20 +312,32 @@ class _FiniteColumn:
         return (rate_bound, p_x, self.att) > to_beat
 
     def candidates(self, p_xs: list[float], to_beat: tuple[float, float, float]) -> list[float]:
-        """The suffix of the ascending p_xs whose ell_bound may beat to_beat (bracket cut).
+        """The suffix of the ascending p_xs whose ell_bound may beat to_beat, or none.
 
-        ell_bound, the rate rule of _beats and p_x never fall along p_xs,
-        since each floating-point step in them is monotone, so once a point
-        may beat to_beat every later point may too. A point of the column
-        that becomes the incumbent has a rate no higher than its own
-        ell_bound, so every later point still may beat that incumbent: no
-        point past the cut would fail the bound. A bracket <= 0 proves
-        ell = 0 at every p_x (ell_bound), so such a column keeps no point.
+        The bracket cut finds the suffix, and the interval cut drops it when
+        its interval_bound cannot beat to_beat. ell_bound, the rate rule of
+        _beats and p_x never fall along p_xs, since each floating-point step
+        in them is monotone, so once a point may beat to_beat every later
+        point may too. A point of the column that becomes the incumbent has
+        a rate no higher than its own ell_bound, so every later point still
+        may beat that incumbent: no point past the cut would fail the bound.
+        A bracket <= 0 proves ell = 0 at every p_x (ell_bound), so such a
+        column keeps no point.
+
+        The interval bound over the suffix [a, b] is at least every point's
+        practical-leak bound, and b is its largest p_x, so if
+        (interval_bound/n, b, att) cannot beat to_beat, evaluate() would
+        prune every point of the suffix against to_beat, and against every
+        later incumbent, which is larger. A point of rate 0, which
+        evaluate() returns without the bound, beats no incumbent: the first
+        is the rate-0 top corner.
         """
         if self.p_c > 0.0 and self.bracket > 0.0:
             for i, p_x in enumerate(p_xs):
                 if self._beats(self.ell_bound(p_x), p_x, to_beat):
-                    return p_xs[i:]
+                    top = p_xs[-1]
+                    return p_xs[i:] if self._beats(self.interval_bound(p_x, top), top,
+                                                   to_beat) else []
         return []
 
 
@@ -387,10 +452,11 @@ def optimize_point(
     evaluated. In 1,500 random draws (source, detector, eps, ranges, pins,
     grid_resolution 2-9, refinement_rounds 0-4, n_sent or n_received
     1e3-1e12) every result was repr-identical to that of the search
-    building the result of every point; 27 draws raised the same error
-    there and here, 5 raised gamma_u's "bound out of regime" at another
-    point, with another log argument in the message, and 2 that raised it
-    there returned here.
+    building the result of every point: 1,477 results; 14 draws raised the
+    same error there and here, 5 raised gamma_u's "bound out of regime" at
+    another point, with another log argument in the message, and 4 that
+    raised it there returned here. The search without the interval cut and
+    the anchored F^-1 splits the same draws the same way.
     """
     column_at = _column_maker(src, ch, det, mode, sec, n_sent, n_received)
     *_, (_, p_x, att) = _incumbents(column_at, cfg, fixed_p_x, fixed_att)

@@ -2,17 +2,21 @@
 
 bench/tracer.py patches each (module, attribute) binding in its CALL_SITES
 table; a refactor that renames or removes one breaks traced runs silently.
-The table is read from the file, not imported, so the guard runs no
+A traced run also fails when a layer that its EXPECTED_NONZERO table
+expects to run on a workload is never called, so the default commands of
+maxloss and curves are run here with a counter on every binding. Both
+tables are read from the file, not imported, so the guard runs no
 benchmark code. The other tests pin the signatures, config fields and call
 paths that bench/worker.py and bench/tracer.py use, so a signature purge
 fails here instead of in a benchmark run, and the exact call counts of the
-default finite, asymptotic and maxloss commands: the bdtrik calls of the
-finite key lengths, the asymptotic grid points the float kernel rates, the
-one estimate pass per finite grid point and the results, which only
-optimize_point builds, one per call. Those counts are literals here: the
-reference_counts in bench/baseline.json still hold the finite count from
-before optimize_point's branch-and-bound (5,069 bdtrik calls) and the
-asymptotic count from before the float kernel (5,772 asymptotic_rate
+default finite, asymptotic and maxloss commands: the bdtrik calls (one per
+grid column that reaches an exact key length, plus one per result) and
+the bdtr calls of F^-1, the asymptotic grid points the float kernel
+rates, the one estimate pass per finite grid point and the results, which
+only optimize_point builds, one per call. Those counts are literals here:
+the reference_counts in bench/baseline.json still hold the finite count
+from before optimize_point's branch-and-bound (5,069 bdtrik calls) and
+the asymptotic count from before the float kernel (5,772 asymptotic_rate
 calls, now 36).
 """
 import ast
@@ -24,13 +28,25 @@ from pathlib import Path
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
 
-def call_sites():
+def tracer_table(name):
     tree = ast.parse(TRACER.read_text(encoding="utf-8"))
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "CALL_SITES" for t in node.targets):
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
             return ast.literal_eval(node.value)
-    raise AssertionError(f"no CALL_SITES table in {TRACER}")
+    raise AssertionError(f"no {name} table in {TRACER}")
+
+
+def call_sites():
+    return tracer_table("CALL_SITES")
+
+
+def counting(calls, name, fn):
+    """fn, counting its calls in calls[name]."""
+    def wrapped(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapped
 
 
 def test_every_call_site_resolves_to_a_callable():
@@ -112,64 +128,78 @@ def test_tracer_finds_lambda_ec_f_ec_value():
     assert "f_ec_value" in inspect.signature(lambda_ec).parameters
 
 
+def test_default_commands_reach_every_layer_the_benchmark_expects(tmp_path, monkeypatch):
+    # a traced run fails when a *.calls layer is zero where EXPECTED_NONZERO
+    # expects it to run, or non-zero where it expects it not to. Of curves,
+    # the default finite and asymptotic commands run here: its asymptotic loss
+    # boundaries reach no further layer
+    from bb84rate import cli
+    calls = collections.Counter()
+    for module_name, attr, layer in call_sites():
+        module = importlib.import_module(module_name)
+        monkeypatch.setattr(module, attr, counting(calls, layer, getattr(module, attr)))
+    expected = tracer_table("EXPECTED_NONZERO")
+    for workload, commands in (("maxloss", ("maxloss",)), ("curves", ("finite", "asymptotic"))):
+        calls.clear()
+        for command in commands:
+            assert cli.main([command, "--out", str(tmp_path / f"{command}.csv")]) == 0
+        for name, by_workload in expected.items():
+            layer, _, kind = name.rpartition(".")
+            want = by_workload.get(workload)
+            if kind == "calls" and want is not None:
+                assert (calls[layer] > 0) == want, f"{name} = {calls[layer]} on {workload}"
+
+
 def test_default_commands_keep_the_reference_counts(tmp_path, monkeypatch):
     import scipy.special
 
     from bb84rate import cli, optimize
     calls = collections.Counter()
-
-    def counted(name, fn):
-        def wrapped(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapped
-
-    monkeypatch.setattr(scipy.special, "bdtrik", counted("bdtrik", scipy.special.bdtrik))
+    for name in ("bdtrik", "bdtr"):
+        monkeypatch.setattr(scipy.special, name,
+                            counting(calls, name, getattr(scipy.special, name)))
     monkeypatch.setattr(optimize, "asymptotic_rate",
-                        counted("asymptotic_rate", optimize.asymptotic_rate))
+                        counting(calls, "asymptotic_rate", optimize.asymptotic_rate))
     # asymptotic grid points run on the column's float kernel; only each row's
     # winner (or all-zero tie-break point) builds its result with asymptotic_rate
     monkeypatch.setattr(optimize._AsymptoticColumn, "evaluate",
-                        counted("asymptotic_kernel", optimize._AsymptoticColumn.evaluate))
+                        counting(calls, "asymptotic_kernel", optimize._AsymptoticColumn.evaluate))
     per_command = {}
     for command in ("finite", "asymptotic", "maxloss"):
         calls.clear()
         assert cli.main([command, "--out", str(tmp_path / f"{command}.csv")]) == 0
         per_command[command] = dict(calls)
-    # finite grid points compute lambda_ec on the column's float path, and the
-    # winner's result computes it once more (219 and 17,134 before results
-    # were built only by optimize_point)
-    assert per_command["finite"] == {"bdtrik": 220}
+    # a finite grid column calls bdtrik once, for the anchor of its F^-1 starts,
+    # and each winner's result once more (220 and 17,139 when every exact key
+    # length called it); from a start at the answer or one above it, F^-1
+    # evaluates two CDFs
+    assert per_command["finite"] == {"bdtrik": 37, "bdtr": 440}
     assert per_command["asymptotic"] == {"asymptotic_kernel": 5772, "asymptotic_rate": 36}
     # the loss search's walk: a regression shows here as a count, not only as time
-    assert per_command["maxloss"] == {"bdtrik": 17139}
+    assert per_command["maxloss"] == {"bdtrik": 776, "bdtr": 34278}
 
 
 def test_default_maxloss_builds_results_only_in_optimize_point(tmp_path, monkeypatch):
     # a grid point is rated on plain floats with one estimate pass, pruned or
     # not; only optimize_point builds a SessionCounts and FiniteKeyResult, for
-    # its winner (17,139 of each were built before, one per exact key length)
+    # its winner (17,139 of each were built before, one per exact key length).
+    # The interval cut ends 1,344 of the 2,803 columns that pass the bracket
+    # cut with one check each (87,443 grid points before)
     from bb84rate import cli, finitekey, optimize
     calls = collections.Counter()
-
-    def counted(name, fn):
-        def wrapped(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapped
-
     monkeypatch.setattr(finitekey.SessionCounts, "__post_init__",
-                        counted("SessionCounts", finitekey.SessionCounts.__post_init__))
+                        counting(calls, "SessionCounts", finitekey.SessionCounts.__post_init__))
     monkeypatch.setattr(optimize, "finite_key_length",
-                        counted("finite_key_length", optimize.finite_key_length))
+                        counting(calls, "finite_key_length", optimize.finite_key_length))
     monkeypatch.setattr(optimize._FiniteColumn, "evaluate",
-                        counted("grid_point", optimize._FiniteColumn.evaluate))
+                        counting(calls, "grid_point", optimize._FiniteColumn.evaluate))
     # the walk's binding and finite_key_length's
-    monkeypatch.setattr(optimize, "_estimates", counted("_estimates", optimize._estimates))
-    monkeypatch.setattr(finitekey, "_estimates", counted("_estimates", finitekey._estimates))
+    monkeypatch.setattr(optimize, "_estimates", counting(calls, "_estimates", optimize._estimates))
+    monkeypatch.setattr(finitekey, "_estimates",
+                        counting(calls, "_estimates", finitekey._estimates))
     for module in (cli, optimize):  # the reported points and the loss-cap checks
         monkeypatch.setattr(module, "optimize_point",
-                            counted("optimize_point", module.optimize_point))
+                            counting(calls, "optimize_point", module.optimize_point))
     assert cli.main(["maxloss", "--out", str(tmp_path / "maxloss.csv")]) == 0
     assert calls == {"optimize_point": 10, "SessionCounts": 10, "finite_key_length": 10,
-                     "grid_point": 87443, "_estimates": 87453}
+                     "grid_point": 45064, "_estimates": 45074}

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import pytest
@@ -297,6 +298,46 @@ class TestInverseBinomialCdf:
             inverse_binomial_cdf(eps, 10**13 + 1, 0.98)
         with pytest.raises(ValueError, match=r"10\*\*13"):
             lambda_ec(1e14, 0.02, 1e-15, f_ec(0.02))
+
+    @settings(max_examples=200, deadline=None)
+    @given(log_n=st.floats(0.0, 13.0), q=st.floats(0.0, 1.0), log_eps=st.floats(-20.0, -0.5),
+           shift=st.integers(-50, 50))
+    def test_walk_is_exact_from_any_start(self, log_n, q, log_eps, shift):
+        # the walk returns the answer of the bdtrik start from a start moved
+        # by up to 50 counts either way, and from NaN, the bisection's start
+        n, eps = round(10.0**log_n), 10.0**log_eps
+        expected = inverse_binomial_cdf(eps, n, q)
+        start = float(special.bdtrik(eps, n, q))
+        assert finitekey._binomial_quantile(special, eps, n, q, start + shift) == expected
+        assert finitekey._binomial_quantile(special, eps, n, q, math.nan) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(log_ns=st.lists(st.floats(0.0, 13.0), min_size=1, max_size=8),
+           q=st.floats(0.5, 1.0), log_eps=st.floats(-20.0, -0.5))
+    def test_anchored_quantile_is_inverse_binomial_cdf(self, log_ns, q, log_eps):
+        # one anchor serves a run of block sizes at one eps and q, as in a grid column
+        eps, quantile = 10.0**log_eps, finitekey._AnchoredQuantile()
+        for log_n in log_ns:
+            n = round(10.0**log_n)
+            assert quantile(eps, n, q) == inverse_binomial_cdf(eps, n, q)
+
+    def test_anchored_quantile_calls_bdtrik_once(self, monkeypatch):
+        ns = (10**6, 2 * 10**6, 5 * 10**5, 10**12)
+        expected = [inverse_binomial_cdf(1e-15, n, 0.98) for n in ns]
+        calls = []
+        bdtrik = special.bdtrik
+        monkeypatch.setattr(special, "bdtrik", lambda *args: calls.append(args) or bdtrik(*args))
+        quantile = finitekey._AnchoredQuantile()
+        assert [quantile(1e-15, n, 0.98) for n in ns] == expected
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("eps,n,q", [(1e-15, 10**13 + 1, 0.98), (1e-15, 0, 0.98),
+                                         (0.0, 10, 0.98), (1e-15, 10, 1.5)])
+    def test_anchored_quantile_keeps_the_checks(self, eps, n, q):
+        with pytest.raises(ValueError) as raised:
+            inverse_binomial_cdf(eps, n, q)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(raised.value))}$"):
+            finitekey._AnchoredQuantile()(eps, n, q)
 
 
 class TestLambdaEc:

@@ -435,9 +435,12 @@ class TestBranchAndBound:
         # the rule the cut replaces: skip a screened column, else test every point
         kept = [] if screened else [p_x for p_x in p_xs
                                     if column._beats(column.ell_bound(p_x), p_x, to_beat)]
+        assert kept == p_xs[len(p_xs) - len(kept):]
+        # the bracket suffix, or none when the interval bound over it proves it dead
+        dead = kept != [] and not column._beats(column.interval_bound(kept[0], kept[-1]),
+                                                kept[-1], to_beat)
         cut = column.candidates(p_xs, to_beat)
-        assert cut == kept
-        assert cut == p_xs[len(p_xs) - len(cut):]
+        assert cut == ([] if dead else kept)
         # past the cut the per-point bracket check never prunes, whichever
         # candidate becomes the incumbent
         best = to_beat
@@ -449,6 +452,36 @@ class TestBranchAndBound:
                 return
             if found is not None and (found, p_x, att) > best:
                 best = (found, p_x, att)
+
+    @settings(max_examples=200, deadline=None)
+    @given(src=sources, det=detectors, sec=securities, loss=st.floats(0.0, 35.0),
+           att=st.floats(0.01, 1.0), block=st.sampled_from(["n_sent", "n_received"]),
+           log_n=st.floats(3.0, 13.0),
+           p_x_range=st.lists(st.floats(0.501, 0.999), min_size=2, max_size=2).map(sorted),
+           grid_resolution=st.integers(2, 32))
+    def test_interval_bound_dominates_every_point_of_its_interval(
+            self, src, det, sec, loss, att, block, log_n, p_x_range, grid_resolution):
+        # the interval cut's bound over [a, b] >= the practical-leak bound that
+        # evaluate() prunes with >= ell, at every grid point of the interval
+        blocks = {"n_sent": None, "n_received": None, block: 10.0**log_n}
+        try:
+            column = optimize._FiniteColumn(src, ChannelModel(loss), det, att, sec, **blocks)
+        except (ValueError, ArithmeticError):
+            return
+        if column.p_c <= 0.0 or not math.isfinite(column.n_sent):
+            return  # candidates() keeps no point of such a column
+        p_xs = optimize._linspace(*p_x_range, grid_resolution)
+        bound = column.interval_bound(p_xs[0], p_xs[-1])
+        for p_x in p_xs:
+            try:
+                res = column.result(p_x)[1]
+            except (ValueError, ArithmeticError):
+                continue
+            practical = 0
+            if res.phi_x_upper < 0.5:
+                leak = column.fec * res.counts.n_rx_x * binary_entropy(column.e_x)
+                practical = _ell(res.n_nmp_x, res.phi_x_upper, leak, sec._constants)
+            assert res.ell <= practical <= bound
 
     def test_bracket_cut_keeps_the_column_screen(self, source):
         # a bracket of exactly 0 proves ell = 0 at every p_x, although the
@@ -525,6 +558,16 @@ class TestFiniteKernel:
             assert (expected, p_x, att) <= to_beat
         else:
             assert pruned.hex() == expected.hex()
+
+    def test_column_keeps_the_block_limit_of_the_inverse_cdf(self, source, detector):
+        # the column's F^-1 raises inverse_binomial_cdf's error above 10**13
+        # trials, as finite_key_length does, instead of walking from its anchor
+        column = optimize._FiniteColumn(source, ChannelModel(0.0), detector, 1.0,
+                                        SecurityParams(), 1e17, None)
+        with pytest.raises(ValueError, match=r"10\*\*13") as raised:
+            column.result(0.9)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(raised.value))}$"):
+            column.evaluate(0.9)
 
 
 def asymptotic_column(src, ch, det, att):
