@@ -1,10 +1,13 @@
 """Command-line front end.
 
-Subcommands: asymptotic | finite | maxloss | fit-qber | oracle. Curve
-commands emit CSV (or JSON with --format json); fit-qber and oracle emit
-JSON reports. Every output embeds the fully resolved configuration, so
-results are self-describing, and outputs are byte-deterministic for a
-fixed config.
+Subcommands: asymptotic | finite | maxloss | fit-qber | oracle, listed
+once in _COMMANDS with their handlers. A curve handler (asymptotic,
+finite, maxloss) returns a header and rows, which main emits as CSV (or
+JSON with --format json); a report handler (fit-qber, oracle) returns a
+report, which main writes as JSON. main writes every output and picks
+every exit code. Every output embeds the fully resolved configuration,
+so results are self-describing, and outputs are byte-deterministic for
+a fixed config.
 
 CSV schema: UTF-8, comma-separated, '.' decimal separator, no thousands
 separators. Leading lines starting with '# ' carry the resolved config as
@@ -17,7 +20,7 @@ import argparse
 import json
 import math
 import sys
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .asymptotic import QberMeasurement, fit_misalignment
 from .config import ConfigError, RunConfig, load_config
@@ -60,15 +63,15 @@ def _write_text(path: str, text: str) -> None:
             fh.write(text)
 
 
+def _write_json(path: str, payload: dict) -> None:
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
 def _emit_table(path: str, fmt: str, resolved: dict, header: Sequence[str],
-                rows: Iterable[Sequence]) -> None:
-    rows = list(rows)
+                rows: Sequence[Sequence]) -> None:
     if fmt == "json":
-        payload = {
-            "config": resolved,
-            "rows": [dict(zip(header, row)) for row in rows],
-        }
-        _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write_json(path, {"config": resolved,
+                           "rows": [dict(zip(header, row)) for row in rows]})
         return
     lines = _echo_lines(resolved)
     lines.append(",".join(header))
@@ -100,7 +103,7 @@ def read_result_csv(path: str) -> tuple[dict[str, str], list[str], list[list[str
     return echo, header, rows
 
 
-def _cmd_asymptotic(cfg: RunConfig, out: str, fmt: str) -> int:
+def _cmd_asymptotic(cfg: RunConfig, args: argparse.Namespace) -> tuple[list[str], list]:
     def point_at(distance_km: float):
         return optimize_point(cfg.source, ChannelModel.from_fiber(distance_km, cfg.loss_per_km_db),
                               cfg.detector, cfg.optimizer, mode="asymptotic",
@@ -122,8 +125,7 @@ def _cmd_asymptotic(cfg: RunConfig, out: str, fmt: str) -> int:
             point.att,
             status,
         ])
-    _emit_table(out, fmt, cfg.resolved, header, table)
-    return 0
+    return header, table
 
 
 # FiniteKeyResult/SessionCounts fields emitted by `finite`, in column order.
@@ -133,7 +135,7 @@ _FINITE_COLUMNS = ("ell", "n_sent", "n_rx_x", "n_rx_z", "m_z", "n_mp_upper_x", "
 _NO_RESULT = (0,) + (math.nan,) * (len(_FINITE_COLUMNS) - 1)
 
 
-def _cmd_finite(cfg: RunConfig, out: str, fmt: str) -> int:
+def _cmd_finite(cfg: RunConfig, args: argparse.Namespace) -> tuple[list[str], list]:
     channel = cfg.channel
     by_block = cfg.finite_block_sizes is not None
     if by_block:
@@ -155,11 +157,10 @@ def _cmd_finite(cfg: RunConfig, out: str, fmt: str) -> int:
         cells = [fields[c] for c in _FINITE_COLUMNS] if res else _NO_RESULT
         table.append([value, channel.loss_db, point.p_x, point.att, point.rate_bps,
                       point.rate_per_pulse, *cells, status])
-    _emit_table(out, fmt, cfg.resolved, header, table)
-    return 0
+    return header, table
 
 
-def _cmd_maxloss(cfg: RunConfig, out: str, fmt: str) -> int:
+def _cmd_maxloss(cfg: RunConfig, args: argparse.Namespace) -> tuple[list[str], list]:
     header = ["acquisition_time_s", "max_loss_db", "p_x_opt", "att_opt", "status"]
     table = []
     for t in cfg.maxloss_times_s:
@@ -179,8 +180,7 @@ def _cmd_maxloss(cfg: RunConfig, out: str, fmt: str) -> int:
             table.append([t, math.nan, math.nan, math.nan, f"error: {exc}"])
             continue
         table.append([t, boundary, point.p_x, point.att, "ok"])
-    _emit_table(out, fmt, cfg.resolved, header, table)
-    return 0
+    return header, table
 
 
 def _read_qber_csv(path: str) -> list[QberMeasurement]:
@@ -219,50 +219,46 @@ def _read_qber_csv(path: str) -> list[QberMeasurement]:
     return data
 
 
-def _cmd_fit_qber(cfg: RunConfig, data_path: str, out: str) -> int:
-    data = _read_qber_csv(data_path)
+def _cmd_fit_qber(cfg: RunConfig, args: argparse.Namespace) -> dict:
+    data = _read_qber_csv(args.data)
     try:  # a fit the data and config leave undefined is an input error
         p_mis, modeled = fit_misalignment(data, cfg.source, cfg.detector, cfg.loss_per_km_db,
                                           cfg.protocol.att)
     except ValueError as exc:
-        raise ConfigError(f"{data_path}: {exc}") from exc
+        raise ConfigError(f"{args.data}: {exc}") from exc
     points = [{
         "distance_km": m.distance_km,
         "qber_measured": m.qber,
         "qber_model": e,
         "residual": m.qber - e,
     } for m, e in zip(data, modeled)]
-    report = {
-        "config": cfg.resolved,
-        "p_mis": p_mis,
-        "residuals": [p["residual"] for p in points],
-        "points": points,
-    }
-    _write_text(out, json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return 0
+    return {"p_mis": p_mis, "residuals": [p["residual"] for p in points], "points": points}
 
 
-def _cmd_oracle(cfg: RunConfig, out: str, seed_override: int | None) -> int:
+def _cmd_oracle(cfg: RunConfig, args: argparse.Namespace) -> dict:
     o = cfg.oracle
-    seed = seed_override if seed_override is not None else o["seed"]
+    seed = args.seed if args.seed is not None else o["seed"]
     try:
         trial = TrialConfig(seed=seed, n_pulses=o["n_pulses"], eps_test=o["eps_test"])
     except ValueError as exc:  # only the --seed flag is unchecked by load_config
         raise ConfigError(f"--seed: {exc}") from exc
-    report = run_oracle_suite(
+    return run_oracle_suite(
         cfg.source, cfg.detector, cfg.protocol, trial,
         losses_db=tuple(o["losses_db"]),
         chernoff_trials=o["chernoff_trials"],
         sampling_trials=o["sampling_trials"],
         bound_scale=o["selftest_bound_scale"],
     )
-    report["config"] = cfg.resolved
-    _write_text(out, json.dumps(report, indent=2, sort_keys=True) + "\n")
-    if not report["all_passed"]:
-        failed = [c["name"] for c in report["checks"] if not c["passed"]]
-        print(f"oracle checks failed: {', '.join(failed)}", file=sys.stderr)
-        return 2
-    return 0
+
+
+# subcommand -> (help text, handler)
+_COMMANDS = {
+    "asymptotic": ("asymptotic key rate vs distance", _cmd_asymptotic),
+    "finite": ("optimized finite key rate vs acquisition time or block size", _cmd_finite),
+    "maxloss": ("maximum tolerable loss vs acquisition time", _cmd_maxloss),
+    "fit-qber": ("fit the misalignment probability to measured QBER data", _cmd_fit_qber),
+    "oracle": ("Monte-Carlo model-agreement and bound-coverage checks", _cmd_oracle),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -273,14 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "Monte-Carlo verification oracle.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "asymptotic": "asymptotic key rate vs distance",
-        "finite": "optimized finite key rate vs acquisition time or block size",
-        "maxloss": "maximum tolerable loss vs acquisition time",
-        "fit-qber": "fit the misalignment probability to measured QBER data",
-        "oracle": "Monte-Carlo model-agreement and bound-coverage checks",
-    }
-    for name, help_text in specs.items():
+    for name, (help_text, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="config file path (INI sections)")
         p.add_argument("--out", default="-", help="output path, '-' for stdout")
@@ -297,17 +286,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.command == "asymptotic":
-            return _cmd_asymptotic(cfg, args.out, args.format)
-        if args.command == "finite":
-            return _cmd_finite(cfg, args.out, args.format)
-        if args.command == "maxloss":
-            return _cmd_maxloss(cfg, args.out, args.format)
-        if args.command == "fit-qber":
-            return _cmd_fit_qber(cfg, args.data, args.out)
-        if args.command == "oracle":
-            return _cmd_oracle(cfg, args.out, args.seed)
-        raise AssertionError(f"unhandled command {args.command}")
+        result = _COMMANDS[args.command][1](cfg, args)
+        if not isinstance(result, dict):
+            _emit_table(args.out, args.format, cfg.resolved, *result)
+            return 0
+        _write_json(args.out, {**result, "config": cfg.resolved})
+        failed = [c["name"] for c in result.get("checks", ()) if not c["passed"]]
+        if failed:
+            print(f"oracle checks failed: {', '.join(failed)}", file=sys.stderr)
+            return 2
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

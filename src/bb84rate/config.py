@@ -173,12 +173,10 @@ def load_config(path: str | None = None) -> RunConfig:
         for section, keys in _SCHEMA.items()
     }
 
-    if raw["channel"].get("distance_km") is not None and raw["channel"].get("loss_db") is not None:
-        raise ConfigError("[channel] distance_km and loss_db are mutually exclusive")
-    if (raw["finite"].get("acquisition_times_s") is not None
-            and raw["finite"].get("block_sizes_received") is not None):
-        raise ConfigError("[finite] acquisition_times_s and block_sizes_received "
-                          "are mutually exclusive")
+    for section, key_a, key_b in (("channel", "distance_km", "loss_db"),
+                                  ("finite", "acquisition_times_s", "block_sizes_received")):
+        if raw[section].get(key_a) is not None and raw[section].get(key_b) is not None:
+            raise ConfigError(f"[{section}] {key_a} and {key_b} are mutually exclusive")
     # curve commands emit one row per value of these keys, in order
     for section, key in (("asymptotic", "distances_km"), ("finite", "acquisition_times_s"),
                          ("finite", "block_sizes_received")):

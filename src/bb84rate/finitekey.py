@@ -12,20 +12,21 @@ The public functions check their inputs and run on unchecked float cores
 that take what they need of SecurityParams as _Constants, derived once
 per SecurityParams: SessionCounts.from_probs on _tallies, chernoff_upper
 on _chernoff, finite_key_length on _estimates and _ell, lambda_ec on
-_lambda_ec and inverse_binomial_cdf on _binomial_quantile. The
+_lambda_ec and inverse_binomial_cdf on _AnchoredQuantile. The
 optimizer's grid points call the cores directly, so a point builds no
 SessionCounts or FiniteKeyResult; the same operations in the same order
 give the same bits on either path.
 
-F^-1 is a walk on the binomial CDF that is exact from any start.
-inverse_binomial_cdf starts it from scipy's continuous inverse, bdtrik;
-a grid column, whose points share eps_cor and e_x, calls bdtrik once and
-starts every later point from that anchor (_AnchoredQuantile).
+F^-1 is a walk on the binomial CDF that is exact from any start, and
+_AnchoredQuantile is its one checked entry point: its first call starts
+the walk from scipy's continuous inverse, bdtrik, and later calls start
+from that anchor. inverse_binomial_cdf is a fresh _AnchoredQuantile's
+first call; a grid column, whose points share eps_cor and e_x, keeps one
+_AnchoredQuantile and so calls bdtrik once.
 
 scipy.special, for the binomial CDF and its inverse, is imported inside
-inverse_binomial_cdf and _AnchoredQuantile, once per call, and passed on
-to _binomial_quantile, so a command that computes no finite key never
-loads scipy.
+_AnchoredQuantile, once per call, and passed on to _binomial_quantile, so
+a command that computes no finite key never loads scipy.
 """
 from __future__ import annotations
 
@@ -283,32 +284,19 @@ def _binomial_cdf(_sp, m: int, n: int, q: float) -> float:
     return float(_sp.betainc(n - m, m + 1, 1.0 - q)) if m < n else 1.0
 
 
-def _check_quantile_args(eps: float, n: int, q: float) -> None:
-    """The input checks of inverse_binomial_cdf."""
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must be in (0, 1), got {eps}")
-    if not 1 <= n <= 10**13:
-        raise ValueError(f"n must satisfy 1 <= n <= 10**13, got {n}")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must be in [0, 1], got {q}")
-
-
 def inverse_binomial_cdf(eps: float, n: int, q: float) -> int:
     """Largest integer m with Binomial(n, q) CDF at m no larger than eps.
 
-    Returns -1 when even CDF(0) exceeds eps (no such m). The continuous
-    inverse of the regularized incomplete beta function supplies a
-    starting point, which _binomial_quantile's walk makes exact. n is
-    limited to 1 <= n <= 10**13: the starting point drifts from the answer
-    as n grows (at eps = 1e-15 and q from 0.5 to 0.999, by up to 15 steps
-    at 10**12, 208 at 10**13 and 1,528 at 10**14), and each step costs one
-    CDF evaluation.
+    Returns -1 when even CDF(0) exceeds eps (no such m). This is the first
+    call of a fresh _AnchoredQuantile: the continuous inverse of the
+    regularized incomplete beta function (bdtrik) supplies a starting
+    point, which _binomial_quantile's walk makes exact. n is limited to
+    1 <= n <= 10**13: the starting point drifts from the answer as n grows
+    (at eps = 1e-15 and q from 0.5 to 0.999, by up to 15 steps at 10**12,
+    208 at 10**13 and 1,528 at 10**14), and each step costs one CDF
+    evaluation.
     """
-    _check_quantile_args(eps, n, q)
-    # imported here, not at module level, so that only finite-key commands load scipy
-    import scipy.special as _sp
-
-    return _binomial_quantile(_sp, eps, n, q, float(_sp.bdtrik(eps, n, q)))
+    return _AnchoredQuantile()(eps, n, q)
 
 
 def _binomial_quantile(_sp, eps: float, n: int, q: float, start: float) -> int:
@@ -345,17 +333,18 @@ def _binomial_quantile(_sp, eps: float, n: int, q: float, start: float) -> int:
 
 
 class _AnchoredQuantile:
-    """inverse_binomial_cdf for a run of calls that share eps and q, with one bdtrik call.
+    """Checked F^-1 for a run of calls that share eps and q, with one bdtrik call.
 
-    The first call starts the walk from bdtrik, as inverse_binomial_cdf
-    does, and keeps its n0 and continuous quantile y0 as the anchor. A
-    later call at n starts from the anchor moved by the normal
-    approximation's shift of the quantile,
+    The first call starts the walk from bdtrik and keeps its n0 and
+    continuous quantile y0 as the anchor; inverse_binomial_cdf is such a
+    first call. A later call at n starts from the anchor moved by the
+    normal approximation's shift of the quantile,
 
         y0 + (n - n0)*q - z*(sqrt(n*q*(1-q)) - sqrt(n0*q*(1-q))),  z = -Phi^-1(eps).
 
     The walk returns the same m from any start, so only the number of CDF
-    evaluations depends on the anchor. The checks are inverse_binomial_cdf's.
+    evaluations depends on the anchor. Every call checks its arguments, as
+    inverse_binomial_cdf documents them.
     """
 
     def __init__(self) -> None:
@@ -363,7 +352,13 @@ class _AnchoredQuantile:
         self.anchor: tuple[int, float, float, float, float] | None = None
 
     def __call__(self, eps: float, n: int, q: float) -> int:
-        _check_quantile_args(eps, n, q)
+        if not 0.0 < eps < 1.0:
+            raise ValueError(f"eps must be in (0, 1), got {eps}")
+        if not 1 <= n <= 10**13:
+            raise ValueError(f"n must satisfy 1 <= n <= 10**13, got {n}")
+        if not 0.0 <= q <= 1.0:
+            raise ValueError(f"q must be in [0, 1], got {q}")
+        # imported here, not at module level, so that only finite-key commands load scipy
         import scipy.special as _sp
 
         if self.anchor is None:

@@ -321,13 +321,17 @@ class TestOracleCommand:
         assert main(["oracle", "--config", cfg, "--out", str(out), "--seed", "7"]) == 0
         assert json.loads(out.read_text())["trial"]["seed"] == 7
 
-    def test_corrupted_bound_exits_nonzero(self, tmp_path):
+    def test_corrupted_bound_exits_nonzero(self, tmp_path, capsys):
         cfg = write(tmp_path / "run.ini",
                     QUICK_ORACLE.replace("losses_db = 0,20",
                                          "losses_db = 0\nselftest_bound_scale = 0.5"))
         out = tmp_path / "r.json"
         assert main(["oracle", "--config", cfg, "--out", str(out)]) == 2
-        assert not json.loads(out.read_text())["all_passed"]
+        report = json.loads(out.read_text())
+        assert not report["all_passed"]
+        failed = [c["name"] for c in report["checks"] if not c["passed"]]
+        assert failed
+        assert capsys.readouterr().err == f"oracle checks failed: {', '.join(failed)}\n"
 
 
 class TestConfigHandling:
@@ -441,9 +445,16 @@ class TestConfigHandling:
         assert [p["distance_km"] for p in report["points"]] == [0.0, 100.0]
         assert out.read_bytes().startswith(b"{")
 
-    def test_mutually_exclusive_channel_keys(self, tmp_path):
-        cfg = write(tmp_path / "run.ini", "[channel]\ndistance_km = 10\nloss_db = 5\n")
+    @pytest.mark.parametrize("text, message", [
+        ("[channel]\ndistance_km = 10\nloss_db = 5\n",
+         "[channel] distance_km and loss_db are mutually exclusive"),
+        ("[finite]\nacquisition_times_s = 60\nblock_sizes_received = 1e6\n",
+         "[finite] acquisition_times_s and block_sizes_received are mutually exclusive"),
+    ], ids=["channel", "finite"])
+    def test_mutually_exclusive_channel_keys(self, tmp_path, capsys, text, message):
+        cfg = write(tmp_path / "run.ini", text)
         assert main(["finite", "--config", cfg, "--out", "-"]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     @pytest.mark.parametrize("command, section, key, values", [
         ("asymptotic", "asymptotic", "distances_km", "10,5"),
