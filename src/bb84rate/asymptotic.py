@@ -71,19 +71,16 @@ class QberMeasurement:
 def f_ec(e: float) -> float:
     """Error-correction inefficiency factor at QBER e.
 
-    Linear interpolation over F_EC_TABLE, clamped to the nearest endpoint
-    outside its range.
+    Linear interpolation over F_EC_TABLE: e takes the first segment whose
+    upper node is at least e. The first segment is flat, so it also covers
+    e = 0; above the last node the factor is the last node's value.
     """
     if not 0.0 <= e <= 0.5:
         raise ValueError(f"qber must be in [0, 0.5], got {e}")
-    if e <= F_EC_TABLE[0][0]:
-        return F_EC_TABLE[0][1]
-    if e >= F_EC_TABLE[-1][0]:
-        return F_EC_TABLE[-1][1]
     for (x0, y0), (x1, y1) in zip(F_EC_TABLE, F_EC_TABLE[1:]):
-        if x0 <= e <= x1:
+        if e <= x1:
             return y0 + (y1 - y0) * (e - x0) / (x1 - x0)
-    raise AssertionError("unreachable: table not ordered")
+    return F_EC_TABLE[-1][1]
 
 
 def fit_misalignment(data: Sequence[QberMeasurement], src: SourceModel, det: DetectorModel,

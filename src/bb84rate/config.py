@@ -149,7 +149,7 @@ def _read_raw(path: str | None) -> dict[str, dict[str, object]]:
             parse, _default = _SCHEMA[section][key]
             try:
                 values[section][key] = parse(text)
-            except (ValueError, ConfigError) as exc:
+            except ValueError as exc:
                 raise ConfigError(f"bad value for [{section}] {key} = {text!r}: {exc}") from exc
     return values
 
@@ -162,20 +162,14 @@ def load_config(path: str | None = None) -> RunConfig:
             values (including model-level range violations).
     """
     raw = _read_raw(path)
-
-    def get(section: str, key: str):
-        if key in raw[section]:
-            return raw[section][key]
-        return _SCHEMA[section][key][1]
-
     resolved = {
-        section: {key: get(section, key) for key in keys}
+        section: {key: raw[section].get(key, default) for key, (_parse, default) in keys.items()}
         for section, keys in _SCHEMA.items()
     }
 
     for section, key_a, key_b in (("channel", "distance_km", "loss_db"),
                                   ("finite", "acquisition_times_s", "block_sizes_received")):
-        if raw[section].get(key_a) is not None and raw[section].get(key_b) is not None:
+        if key_a in raw[section] and key_b in raw[section]:
             raise ConfigError(f"[{section}] {key_a} and {key_b} are mutually exclusive")
     # curve commands emit one row per value of these keys, in order
     for section, key in (("asymptotic", "distances_km"), ("finite", "acquisition_times_s"),
@@ -184,47 +178,44 @@ def load_config(path: str | None = None) -> RunConfig:
         # written so that a NaN fails the check
         if values is not None and any(not a < b for a, b in zip(values, values[1:])):
             raise ConfigError(f"[{section}] {key} must be strictly increasing")
-    distance_km = resolved["channel"]["distance_km"]
+    fibre = resolved["channel"]
+    distance_km = fibre["distance_km"]
     if not 0.0 <= distance_km < math.inf:  # written so that NaN fails the check
         raise ConfigError(f"[channel] distance_km must be finite and >= 0, got {distance_km}")
     for t in resolved["maxloss"]["acquisition_times_s"]:
         if not 0.0 <= t < math.inf:
             raise ConfigError(f"[maxloss] acquisition_times_s must be finite and >= 0, got {t}")
 
+    opt = resolved["optimizer"]
     oracle = resolved["oracle"]
     try:
         source = SourceModel(
-            mean_photon_number=get("source", "mean_photon_number"),
-            g2=get("source", "g2"),
-            rep_rate=get("source", "rep_rate_mhz") * 1e6,
+            mean_photon_number=resolved["source"]["mean_photon_number"],
+            g2=resolved["source"]["g2"],
+            rep_rate=resolved["source"]["rep_rate_mhz"] * 1e6,
         )
         detector = DetectorModel(
-            det_efficiency=get("detector", "efficiency"),
-            dark_count_prob=get("detector", "dark_count_prob"),
-            dead_time=get("detector", "dead_time_ns") * 1e-9,
-            misalignment=get("detector", "misalignment"),
+            det_efficiency=resolved["detector"]["efficiency"],
+            dark_count_prob=resolved["detector"]["dark_count_prob"],
+            dead_time=resolved["detector"]["dead_time_ns"] * 1e-9,
+            misalignment=resolved["detector"]["misalignment"],
         )
         # the channel for commands run at one operating point; building it
         # from the distance also checks loss_per_km_db, which every command
         # uses, even when an explicit loss_db takes precedence
-        channel = ChannelModel.from_fiber(get("channel", "distance_km"),
-                                          get("channel", "loss_per_km_db"))
-        if get("channel", "loss_db") is not None:
-            channel = ChannelModel(loss_db=get("channel", "loss_db"))
-        protocol = ProtocolParams(p_x=get("protocol", "p_x"), att=get("protocol", "att"))
-        security = SecurityParams(
-            eps_prime=get("security", "eps_prime"),
-            n_pe=get("security", "n_pe"),
-            eps_cor=get("security", "eps_cor"),
-        )
+        channel = ChannelModel.from_fiber(distance_km, fibre["loss_per_km_db"])
+        if fibre["loss_db"] is not None:
+            channel = ChannelModel(loss_db=fibre["loss_db"])
+        protocol = ProtocolParams(**resolved["protocol"])
+        security = SecurityParams(**resolved["security"])
         optimizer = OptimizationConfig(
-            p_x_range=(get("optimizer", "p_x_min"), get("optimizer", "p_x_max")),
-            att_range=(get("optimizer", "att_min"), get("optimizer", "att_max")),
-            grid_resolution=get("optimizer", "grid_resolution"),
-            refinement_rounds=get("optimizer", "refinement_rounds"),
-            shrink_factor=get("optimizer", "shrink_factor"),
-            loss_bisection_tol_db=get("optimizer", "loss_bisection_tol_db"),
-            loss_cap_db=get("optimizer", "loss_cap_db"),
+            p_x_range=(opt["p_x_min"], opt["p_x_max"]),
+            att_range=(opt["att_min"], opt["att_max"]),
+            grid_resolution=opt["grid_resolution"],
+            refinement_rounds=opt["refinement_rounds"],
+            shrink_factor=opt["shrink_factor"],
+            loss_bisection_tol_db=opt["loss_bisection_tol_db"],
+            loss_cap_db=opt["loss_cap_db"],
         )
         TrialConfig(oracle["seed"], oracle["n_pulses"], oracle["eps_test"])
         check_eps_test(oracle["eps_test"])
@@ -235,23 +226,20 @@ def load_config(path: str | None = None) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    finite_times = get("finite", "acquisition_times_s")
-    finite_blocks = get("finite", "block_sizes_received")
-    if raw["finite"].get("block_sizes_received") is not None:
-        finite_times = None
-
+    finite_blocks = resolved["finite"]["block_sizes_received"]
     return RunConfig(
         source=source,
         detector=detector,
         protocol=protocol,
         security=security,
         optimizer=optimizer,
-        loss_per_km_db=get("channel", "loss_per_km_db"),
+        loss_per_km_db=fibre["loss_per_km_db"],
         channel=channel,
-        asymptotic_distances_km=get("asymptotic", "distances_km"),
-        finite_acquisition_times_s=finite_times,
+        asymptotic_distances_km=resolved["asymptotic"]["distances_km"],
+        finite_acquisition_times_s=(resolved["finite"]["acquisition_times_s"]
+                                    if finite_blocks is None else None),
         finite_block_sizes=finite_blocks,
-        maxloss_times_s=get("maxloss", "acquisition_times_s"),
+        maxloss_times_s=resolved["maxloss"]["acquisition_times_s"],
         oracle=oracle,
         resolved=resolved,
     )

@@ -239,9 +239,19 @@ def _chernoff(expected: float, beta: float) -> float:
 def gamma_u(n: float, k: float, observed_rate: float, eps: float) -> float:
     """Sampling-without-replacement correction for an unobserved rate.
 
-    Given a rate observed on k samples, the rate on the n unobserved
-    samples of the same population exceeds observed + gamma_u with
-    probability at most eps. Valid for observed rates in (0, 0.5).
+    Given a rate observed on k samples, bounds the rate on the n
+    unobserved samples of the same population by observed + gamma_u,
+    meant to fail with probability at most eps. Valid for observed rates
+    in (0, 0.5).
+
+    The bound is an approximation, not a proven one: its form is the
+    gamma^U of Yin et al. (Sci. Rep. 10:14312, 2020), which rests on a
+    Stirling approximation of the hypergeometric tail. The exact tail
+    sums of tests/test_bound_audit.py put its failure probability above
+    eps: 0.0154 at n = k = 1000, eps = 1e-2 and 5% population errors;
+    1.35 * eps at the default 60 s optimum (n = 973,838, k = 4,790) with
+    20% population errors; 18 * eps at n = k = 10**6, eps = 1e-8 and 2%
+    errors. ROADMAP item 3 replaces it with a proven bound.
 
     Raises:
         ValueError: if the rate is outside (0, 0.5), n or k is not finite

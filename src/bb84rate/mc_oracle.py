@@ -292,10 +292,6 @@ def sampling_bound_coverage(n: int, k: int, population_errors: int, eps_test: fl
     return float(np.mean(true_rate > chi))
 
 
-def _coverage_limit(eps: float, trials: int) -> float:
-    return eps + 3.0 * (eps / trials) ** 0.5
-
-
 def run_oracle_suite(src: SourceModel, det: DetectorModel, protocol: ProtocolParams,
                      trial: TrialConfig, losses_db: tuple[float, ...], *,
                      chernoff_trials: int, sampling_trials: int,
@@ -334,24 +330,21 @@ def run_oracle_suite(src: SourceModel, det: DetectorModel, protocol: ProtocolPar
                 "seed": sub_seed,
             })
 
-    for x_star in (50.0, 0.0):
-        exceed = chernoff_coverage(x_star, trial.eps_test, chernoff_trials,
-                                   seed=trial.seed, bound_scale=bound_scale)
-        limit = _coverage_limit(trial.eps_test, chernoff_trials)
+    # (name, experiment, its leading arguments, trials), in report order
+    experiments = [
+        (f"chernoff_coverage_xstar_{x_star:g}", chernoff_coverage, (x_star,), chernoff_trials)
+        for x_star in (50.0, 0.0)
+    ] + [
+        (f"sampling_bound_coverage_n{n}_k{k}_m{pop_errors}", sampling_bound_coverage,
+         (n, k, pop_errors), sampling_trials)
+        for n, k, pop_errors in _SAMPLING_INSTANCES
+    ]
+    for name, coverage, args, trials in experiments:
+        exceed = coverage(*args, trial.eps_test, trials, seed=trial.seed,
+                          bound_scale=bound_scale)
+        limit = trial.eps_test + 3.0 * (trial.eps_test / trials) ** 0.5
         checks.append({
-            "name": f"chernoff_coverage_xstar_{x_star:g}",
-            "passed": bool(exceed <= limit),
-            "exceedance": exceed,
-            "limit": limit,
-        })
-
-    for n, k, pop_errors in _SAMPLING_INSTANCES:
-        exceed = sampling_bound_coverage(n, k, pop_errors, trial.eps_test,
-                                         sampling_trials, seed=trial.seed,
-                                         bound_scale=bound_scale)
-        limit = _coverage_limit(trial.eps_test, sampling_trials)
-        checks.append({
-            "name": f"sampling_bound_coverage_n{n}_k{k}_m{pop_errors}",
+            "name": name,
             "passed": bool(exceed <= limit),
             "exceedance": exceed,
             "limit": limit,

@@ -39,7 +39,7 @@ class TestQberModel:
 
 class TestFEc:
     def test_pinned_low_qber_value(self):
-        for e in (0.001, 0.003, 0.02, 0.05):
+        for e in (0.0, 0.001, 0.003, 0.02, 0.05):
             assert f_ec(e) == 1.16
 
     def test_anchor_identity(self):
@@ -51,7 +51,8 @@ class TestFEc:
         assert f_ec(0.125) == pytest.approx((1.22 + 1.35) / 2, rel=1e-12)
 
     def test_clamps_beyond_table(self):
-        assert f_ec(0.4) == 1.35
+        for e in (0.4, 0.5):
+            assert f_ec(e) == 1.35
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):

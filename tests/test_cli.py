@@ -334,6 +334,54 @@ class TestOracleCommand:
         assert capsys.readouterr().err == f"oracle checks failed: {', '.join(failed)}\n"
 
 
+# (section, key) -> (a valid non-default value, the RunConfig field it sets,
+# the value expected there, with units converted)
+_ROUTES = {
+    ("source", "mean_photon_number"): ("0.02", lambda c: c.source.mean_photon_number, 0.02),
+    ("source", "g2"): ("0.05", lambda c: c.source.g2, 0.05),
+    ("source", "rep_rate_mhz"): ("80", lambda c: c.source.rep_rate, 80 * 1e6),
+    ("detector", "efficiency"): ("0.5", lambda c: c.detector.det_efficiency, 0.5),
+    ("detector", "dark_count_prob"): ("2e-7", lambda c: c.detector.dark_count_prob, 2e-7),
+    ("detector", "dead_time_ns"): ("50", lambda c: c.detector.dead_time, 50 * 1e-9),
+    ("detector", "misalignment"): ("0.01", lambda c: c.detector.misalignment, 0.01),
+    ("channel", "loss_per_km_db"): ("0.2", lambda c: (c.loss_per_km_db, c.channel),
+                                    (0.2, ChannelModel.from_fiber(100.0, 0.2))),
+    ("channel", "distance_km"): ("50", lambda c: c.channel,
+                                 ChannelModel.from_fiber(50.0, 0.1904)),
+    ("channel", "loss_db"): ("12.5", lambda c: c.channel, ChannelModel(loss_db=12.5)),
+    ("protocol", "p_x"): ("0.7", lambda c: c.protocol, ProtocolParams(p_x=0.7)),
+    ("protocol", "att"): ("0.8", lambda c: c.protocol, ProtocolParams(att=0.8)),
+    ("security", "eps_prime"): ("1e-11", lambda c: c.security, SecurityParams(eps_prime=1e-11)),
+    ("security", "n_pe"): ("3", lambda c: c.security, SecurityParams(n_pe=3)),
+    ("security", "eps_cor"): ("1e-12", lambda c: c.security, SecurityParams(eps_cor=1e-12)),
+    ("optimizer", "p_x_min"): ("0.6", lambda c: c.optimizer.p_x_range, (0.6, 0.995)),
+    ("optimizer", "p_x_max"): ("0.9", lambda c: c.optimizer.p_x_range, (0.505, 0.9)),
+    ("optimizer", "att_min"): ("0.3", lambda c: c.optimizer.att_range, (0.3, 1.0)),
+    ("optimizer", "att_max"): ("0.95", lambda c: c.optimizer.att_range, (0.01, 0.95)),
+    ("optimizer", "grid_resolution"): ("9", lambda c: c.optimizer.grid_resolution, 9),
+    ("optimizer", "refinement_rounds"): ("2", lambda c: c.optimizer.refinement_rounds, 2),
+    ("optimizer", "shrink_factor"): ("2.5", lambda c: c.optimizer.shrink_factor, 2.5),
+    ("optimizer", "loss_bisection_tol_db"): (
+        "0.05", lambda c: c.optimizer.loss_bisection_tol_db, 0.05),
+    ("optimizer", "loss_cap_db"): ("40", lambda c: c.optimizer.loss_cap_db, 40.0),
+    ("asymptotic", "distances_km"): ("0,50,100", lambda c: c.asymptotic_distances_km,
+                                     [0.0, 50.0, 100.0]),
+    ("finite", "acquisition_times_s"): ("1,10", lambda c: c.finite_acquisition_times_s,
+                                        [1.0, 10.0]),
+    ("finite", "block_sizes_received"): (
+        "1e4,1e6", lambda c: (c.finite_acquisition_times_s, c.finite_block_sizes),
+        (None, [1e4, 1e6])),
+    ("maxloss", "acquisition_times_s"): ("2,20", lambda c: c.maxloss_times_s, [2.0, 20.0]),
+    ("oracle", "seed"): ("7", lambda c: c.oracle["seed"], 7),
+    ("oracle", "n_pulses"): ("1000", lambda c: c.oracle["n_pulses"], 1000),
+    ("oracle", "eps_test"): ("0.02", lambda c: c.oracle["eps_test"], 0.02),
+    ("oracle", "chernoff_trials"): ("2000", lambda c: c.oracle["chernoff_trials"], 2000),
+    ("oracle", "sampling_trials"): ("20", lambda c: c.oracle["sampling_trials"], 20),
+    ("oracle", "losses_db"): ("0,5", lambda c: c.oracle["losses_db"], [0.0, 5.0]),
+    ("oracle", "selftest_bound_scale"): ("0.5", lambda c: c.oracle["selftest_bound_scale"], 0.5),
+}
+
+
 class TestConfigHandling:
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = write(tmp_path / "run.ini", "[source]\nbrightness = 1\n")
@@ -504,6 +552,15 @@ class TestConfigHandling:
         for key in ("source.g2", "detector.dark_count_prob", "security.eps_cor",
                     "optimizer.grid_resolution", "channel.loss_per_km_db"):
             assert key in echo
+
+    @pytest.mark.parametrize("section, key", [
+        pytest.param(s, k, id=f"{s}.{k}") for s in _SCHEMA for k in _SCHEMA[s]])
+    def test_each_key_reaches_its_field(self, tmp_path, section, key):
+        text, field, expected = _ROUTES[section, key]
+        parse, default = _SCHEMA[section][key]
+        assert parse(text) != default
+        cfg = load_config(write(tmp_path / "run.ini", f"[{section}]\n{key} = {text}\n"))
+        assert field(cfg) == expected
 
 
 # Work-scaling keys draw only small values: the default grid_resolution, or

@@ -181,8 +181,10 @@ class TestSamplingBoundCoverage:
     def test_known_slack_at_high_error_symmetric_instance(self):
         # The correction formula is an analytical approximation: at 5%
         # symmetric errors its exact failure probability is 0.0154, above
-        # the nominal 1e-2. The oracle must resolve that slack (it shrinks
-        # quickly as eps decreases, so small-eps use stays conservative).
+        # the nominal 1e-2. The oracle must resolve that slack. It does not
+        # shrink as eps decreases: the exact tail sum of test_bound_audit.py
+        # gives 18 * eps at n = k = 10**6, eps = 1e-8 and 2% errors (ROADMAP
+        # item 3).
         exceed = sampling_bound_coverage(1000, 1000, 100, 1e-2, 10_000, seed=9)
         assert 1e-2 < exceed < 2e-2
         assert exceed == pytest.approx(0.0154, abs=3 * math.sqrt(0.0154 / 10_000))
