@@ -33,8 +33,6 @@ __all__ = ["main", "read_result_csv"]
 
 def _fmt(value) -> str:
     if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
         return format(value, ".12g")
     # cells are unquoted, so text (status messages) must stay comma-free
     return str(value).replace(",", ";")
@@ -115,13 +113,12 @@ def _cmd_asymptotic(cfg: RunConfig, args: argparse.Namespace) -> tuple[list[str]
     table = []
     for distance, (point, status) in zip(distances, run_sweep(distances, point_at)):
         res = point.result
+        cells = (res.single_photon_fraction, res.e_z, res.p_click) if res else (math.nan,) * 3
         table.append([
             distance,
             distance * cfg.loss_per_km_db,
             point.rate_bps,
-            res.single_photon_fraction if res else math.nan,
-            res.e_z if res else math.nan,
-            res.p_click if res else math.nan,
+            *cells,
             point.att,
             status,
         ])
@@ -173,13 +170,12 @@ def _cmd_maxloss(cfg: RunConfig, args: argparse.Namespace) -> tuple[list[str], l
             point = optimize_point(cfg.source, ChannelModel(loss_db=probe), cfg.detector,
                                    cfg.optimizer, mode="finite", sec=cfg.security,
                                    n_sent=n_sent)
+            row = [t, boundary, point.p_x, point.att, "ok"]
         except NoPositiveRateError:
-            table.append([t, math.nan, math.nan, math.nan, "no_key_at_any_loss"])
-            continue
+            row = [t, math.nan, math.nan, math.nan, "no_key_at_any_loss"]
         except (ValueError, ArithmeticError) as exc:
-            table.append([t, math.nan, math.nan, math.nan, f"error: {exc}"])
-            continue
-        table.append([t, boundary, point.p_x, point.att, "ok"])
+            row = [t, math.nan, math.nan, math.nan, f"error: {exc}"]
+        table.append(row)
     return header, table
 
 

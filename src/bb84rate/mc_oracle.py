@@ -47,8 +47,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .finitekey import chernoff_upper, gamma_u
-from .models import (ChannelModel, DetectorModel, ProtocolParams, SourceModel, _link,
-                     _raw_click_error, click_error_probs, dead_time_corrected_click)
+from .models import (ChannelModel, DetectorModel, ProtocolParams, SourceModel, _click_error,
+                     _link, _raw_click_error, click_error_probs)
 
 __all__ = [
     "TrialConfig",
@@ -184,8 +184,8 @@ def sample_session(src: SourceModel, ch: ChannelModel, det: DetectorModel,
     survival, the misalignment and the dead-time inputs are read from the
     operating point's link (models._link), which the closed-form model
     shares. Dead time is applied as mean-field thinning with the analytic
-    factor c_dt, matching the model under test rather than a timeline
-    simulation.
+    factor c_dt = p_click / f of the closed form (models._click_error),
+    matching the model under test rather than a timeline simulation.
     """
     # imported here, not at module level, so that only the oracle loads numpy
     import numpy as np
@@ -194,8 +194,7 @@ def sample_session(src: SourceModel, ch: ChannelModel, det: DetectorModel,
     link = _link(src, ch, det)
     p1, p2, s_cd, mis = link.p1, link.p2, link.t_eta, link.misalignment
     f, _ = _raw_click_error(link, att)
-    p_c = dead_time_corrected_click(f, link.rep_rate, link.dead_time)
-    c_dt = p_c / f if f > 0.0 else 1.0
+    c_dt = _click_error(link, att)[0] / f if f > 0.0 else 1.0
 
     rng = np.random.default_rng(trial.seed)
     buf = np.empty(min(trial.n_pulses, _CHUNK))

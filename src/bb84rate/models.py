@@ -52,9 +52,6 @@ class SourceModel:
             raise ValueError(f"g2 must be in [0, 1], got {self.g2}")
         if not 0.0 < self.rep_rate < math.inf:
             raise ValueError(f"rep_rate must be finite and positive, got {self.rep_rate}")
-        if self.photon_probs[1] < 0.0:
-            raise ValueError("two-photon weight exceeds the mean photon number "
-                             f"(<n>={self.mean_photon_number}, g2={self.g2})")
 
     @property
     def multiphoton_prob(self) -> float:

@@ -240,7 +240,7 @@ class _FiniteColumn:
         if self.p_c <= 0.0:
             return 0.0, None
         counts = SessionCounts.from_probs(self.n_sent, p_x, self.p_c, self.p_e, self.p_m)
-        res = finite_key_length(counts, self.sec, self.e_x, f_ec_value=self.fec)
+        res = finite_key_length(counts, self.sec, self.e_x)
         return res.rate, res
 
     def ell_bound(self, p_x: float) -> float:
@@ -366,27 +366,27 @@ def _column_maker(
 
 
 def _round_grids(
-    cfg: OptimizationConfig, p_x_range: tuple[float, float], att_range: tuple[float, float],
+    cfg: OptimizationConfig, ranges: tuple[tuple[float, float], tuple[float, float]],
     incumbent: Callable[[], tuple[float, float]],
 ) -> Iterator[tuple[list[float], list[float]]]:
-    """Yield the (p_xs, atts) grid of each search round over the given ranges.
+    """Yield the (p_xs, atts) grid of each search round over the (p_x, att) ranges.
 
     After each round both windows shrink around incumbent(), the (p_x, att)
-    of the best point so far, which lies inside the ranges.
+    of the best point so far, which lies inside the ranges: a window of
+    width h becomes [c - w, c + w] around the incumbent's coordinate c, with
+    w = h/(2*shrink_factor), clipped to its range. An att range that
+    reaches 1 keeps att = 1 in every round's grid.
     """
-    (px_lo0, px_hi0), (at_lo0, at_hi0) = p_x_range, att_range
-    px_lo, px_hi = px_lo0, px_hi0
-    at_lo, at_hi = at_lo0, at_hi0
+    windows = ranges
     for _ in range(cfg.refinement_rounds + 1):
+        (px_lo, px_hi), (at_lo, at_hi) = windows
         atts = _linspace(at_lo, at_hi, cfg.grid_resolution)
-        if at_hi0 == 1.0 and at_hi < 1.0:
+        if ranges[1][1] == 1.0 and at_hi < 1.0:
             atts.append(1.0)
         yield _linspace(px_lo, px_hi, cfg.grid_resolution), atts
-        bp, ba = incumbent()
-        pw = (px_hi - px_lo) / (2.0 * cfg.shrink_factor)
-        aw = (at_hi - at_lo) / (2.0 * cfg.shrink_factor)
-        px_lo, px_hi = max(px_lo0, bp - pw), min(px_hi0, bp + pw)
-        at_lo, at_hi = max(at_lo0, ba - aw), min(at_hi0, ba + aw)
+        widths = [(hi - lo) / (2.0 * cfg.shrink_factor) for lo, hi in windows]
+        windows = [(max(lo0, c - w), min(hi0, c + w))
+                   for (lo0, hi0), c, w in zip(ranges, incumbent(), widths)]
 
 
 def _incumbents(
@@ -410,7 +410,7 @@ def _incumbents(
     ProtocolParams(p_x=p_x_range[1], att=att_range[1])
     best = (0.0, p_x_range[1], att_range[1])
     yield best
-    for p_xs, atts in _round_grids(cfg, p_x_range, att_range, lambda: best[1:]):
+    for p_xs, atts in _round_grids(cfg, (p_x_range, att_range), lambda: best[1:]):
         for att in atts:
             column = column_at(att)
             for p_x in column.candidates(p_xs, best):

@@ -11,7 +11,7 @@ import pytest
 
 from bb84rate import (ChannelModel, DetectorModel, OptimizationConfig, ProtocolParams,
                       SourceModel, TrialConfig, asymptotic_rate, chernoff_coverage,
-                      chernoff_upper, click_error_probs, expected_counts, binary_entropy, f_ec,
+                      chernoff_upper, click_error_probs, expected_counts, binary_entropy,
                       finite_key_length, gamma_u, max_tolerable_loss, optimize_point,
                       sample_session,
                       sampling_bound_coverage)
@@ -246,7 +246,7 @@ def test_criterion_10_invariant_suite(source, detector, security):
     prev_ell = -1
     for n_sent in (1e9, 1e10, 1e11):
         counts = expected_counts(source, ch, detector, ProtocolParams(p_x=0.9), n_sent)
-        fin = finite_key_length(counts, security, p_e / p_c, f_ec(p_e / p_c))
+        fin = finite_key_length(counts, security, p_e / p_c)
         check(f"chernoff conservative x (N={n_sent:g})", fin.n_mp_upper_x >= counts.n_mp_star_x)
         check(f"chernoff conservative z (N={n_sent:g})", fin.n_mp_upper_z >= counts.n_mp_star_z)
         check(f"received lower bound (N={n_sent:g})",
@@ -277,7 +277,7 @@ def test_criterion_10_invariant_suite(source, detector, security):
     check("optimizer deterministic", (p1.p_x, p1.att, p1.rate_per_pulse)
           == (p2.p_x, p2.att, p2.rate_per_pulse))
     counts_default = expected_counts(source, ch, detector, ProtocolParams(p_x=0.5), 1e10)
-    default_rate = finite_key_length(counts_default, security, p_e / p_c, f_ec(p_e / p_c)).rate
+    default_rate = finite_key_length(counts_default, security, p_e / p_c).rate
     check("optimized never below defaults", p1.rate_per_pulse >= default_rate)
 
     # Monte-Carlo reproducibility

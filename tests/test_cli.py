@@ -1,7 +1,9 @@
 import contextlib
+import errno
 import inspect
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -37,6 +39,11 @@ def kernel_qber(distance_km, p_mis):
     det = DetectorModel(0.6525, 1.47e-7, 27.5e-9, p_mis)
     p_c, p_e = click_error_probs(src, ChannelModel.from_fiber(distance_km, 0.1904), det)
     return p_e / p_c
+
+
+def no_such_file(path):
+    """The OSError text of opening a missing path."""
+    return f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {path!r}"
 
 
 def write(path, text):
@@ -191,6 +198,19 @@ class TestFiniteCommand:
         _, header, rows = read_result_csv(str(out))
         assert rows and all(r[header.index("status")] == "ok" for r in rows)
 
+    def test_column_that_never_clicks_is_an_ok_row(self, tmp_path):
+        # without dark counts the transmittance 10**-400 underflows to 0: the
+        # row has no result, so key length 0 and NaN tallies
+        cfg = write(tmp_path / "run.ini",
+                    FAST_OPT + "[detector]\ndark_count_prob = 0\n[channel]\nloss_db = 4000\n")
+        out = tmp_path / "fin.csv"
+        assert main(["finite", "--config", cfg, "--out", str(out)]) == 0
+        _, header, rows = read_result_csv(str(out))
+        row = dict(zip(header, rows[0]))
+        assert (row["p_x"], row["att"], row["rate_bps"], row["ell"]) == ("0.995", "1", "0", "0")
+        assert all(row[c] == "nan" for c in header[header.index("n_sent"):-1])
+        assert row["status"] == "ok"
+
     def test_json_format(self, tmp_path):
         cfg = write(tmp_path / "run.ini",
                     FAST_OPT + "[finite]\nacquisition_times_s = 1\n")
@@ -297,6 +317,21 @@ class TestFitQberCommand:
         assert main(["fit-qber", "--data", data, "--out", "-"]) == 1
         assert ":3:" in capsys.readouterr().err
 
+    def test_missing_file_is_config_error(self, tmp_path, capsys):
+        data = str(tmp_path / "missing.csv")
+        assert main(["fit-qber", "--data", data, "--out", "-"]) == 1
+        assert capsys.readouterr().err == (f"config error: cannot read QBER data {data!r}: "
+                                           f"{no_such_file(data)}\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("", ": empty file, expected header distance_km,qber"),
+        ("distance_km,qber\n0,0.004,1\n", ":2: expected 2 columns, got 3"),
+    ], ids=["empty", "extra_cell"])
+    def test_malformed_file_is_config_error(self, tmp_path, capsys, text, message):
+        data = write(tmp_path / "bad.csv", text)
+        assert main(["fit-qber", "--data", data, "--out", "-"]) == 1
+        assert capsys.readouterr().err == f"config error: {data}{message}\n"
+
     @pytest.mark.parametrize("distance", ["-5", "-200", "nan"])
     def test_bad_distance_is_config_error(self, tmp_path, capsys, distance):
         data = write(tmp_path / "bad.csv", f"distance_km,qber\n0.0,0.004\n{distance},0.01\n")
@@ -382,11 +417,32 @@ _ROUTES = {
 }
 
 
+class TestRuntimeFailure:
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert main(["finite", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+
+
 class TestConfigHandling:
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = write(tmp_path / "run.ini", "[source]\nbrightness = 1\n")
         assert main(["asymptotic", "--config", cfg, "--out", "-"]) == 1
         assert "unknown key" in capsys.readouterr().err
+
+    def test_missing_config_file_rejected(self, tmp_path, capsys):
+        cfg = str(tmp_path / "missing.ini")
+        assert main(["finite", "--config", cfg, "--out", "-"]) == 1
+        assert capsys.readouterr().err == (f"config error: cannot read config file {cfg!r}: "
+                                           f"{no_such_file(cfg)}\n")
+
+    def test_key_before_any_section_rejected(self, tmp_path, capsys):
+        cfg = write(tmp_path / "run.ini", "x = 1\n[source]\n")
+        assert main(["finite", "--config", cfg, "--out", "-"]) == 1
+        assert capsys.readouterr().err == ("config error: config parse error: File contains no "
+                                           f"section headers.\nfile: {cfg!r}, line: 1\n"
+                                           "'x = 1\\n'\n")
 
     def test_unknown_section_rejected(self, tmp_path, capsys):
         cfg = write(tmp_path / "run.ini", "[lasers]\npower = 1\n")
@@ -467,6 +523,7 @@ class TestConfigHandling:
             ("-inf:0:1", "start and stop must be finite"),
             ("0:inf:1", "start and stop must be finite"),
             ("inf:inf:1", "start and stop must be finite"),
+            ("1:2", "range must be start:stop:step"),
         ]])
     def test_nan_range_rejected(self, tmp_path, capsys, text, reason):
         # the NaN ranges once gave one row, or none, with exit code 0; the

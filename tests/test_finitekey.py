@@ -115,7 +115,7 @@ class TestExpectedCounts:
 class TestNonMultiphotonLower:
     @staticmethod
     def lower(counts, security):
-        res = finite_key_length(counts, security, 0.01, f_ec(0.01))
+        res = finite_key_length(counts, security, 0.01)
         return res.n_nmp_x, res.n_nmp_z
 
     def test_perfect_source(self, security):
@@ -187,7 +187,7 @@ class TestPhaseErrorUpper:
     # the n_nmp_z that finite_key_length returns.
     def test_zero_observed_errors_uses_floor(self, security):
         counts = SessionCounts(1e8, 1e5, 1e4, 0.0, 0.0, 0.0)
-        res = finite_key_length(counts, security, 0.0, 1.0)
+        res = finite_key_length(counts, security, 0.0)
         assert res.n_nmp_z == pytest.approx(1e4 - math.log(1.0 / security.eps_pe), rel=1e-15)
         assert res.phi_x == 0.0 and res.phi_x_upper > 0.0
         # the floor substitutes half an error in the PE sample
@@ -196,7 +196,7 @@ class TestPhaseErrorUpper:
 
     def test_upper_bound_dominates_estimate(self, security):
         counts = SessionCounts(1e8, 1e5, 1e4, 50.0, 10.0, 10.0)
-        res = finite_key_length(counts, security, 0.0, 1.0)
+        res = finite_key_length(counts, security, 0.0)
         phi = counts.m_z / res.n_nmp_z
         assert res.phi_x == phi
         assert phi < res.phi_x_upper < 0.5
@@ -207,14 +207,14 @@ class TestPhaseErrorUpper:
         # m_z = 37: the estimate is below 1/2 and its correction crosses it;
         # m_z = 49: the estimate itself is at least 1/2
         counts = SessionCounts(1e6, 100.0, 100.0, m_z, 0.0, 0.0)
-        res = finite_key_length(counts, security, 0.0, 1.0)
+        res = finite_key_length(counts, security, 0.0)
         assert (res.phi_x < 0.5) == (m_z == 37.0)
         assert res.phi_x_upper == 0.5 and res.ell == 0
 
     def test_no_pe_statistics_gives_no_key(self, security):
         # ln(1/eps_pe) ~ 23.4 exceeds n_rx_z = 10, so n_nmp_z = 0
         counts = SessionCounts(1e6, 100.0, 10.0, 0.0, 0.0, 0.0)
-        res = finite_key_length(counts, security, 0.0, 1.0)
+        res = finite_key_length(counts, security, 0.0)
         assert res.n_nmp_z == 0.0
         assert res.phi_x_upper == 0.5 and res.ell == 0
 
@@ -223,7 +223,7 @@ class TestPhaseErrorUpper:
         # n_nmp_z > 0, but a Z block under one detection is outside gamma_u's
         # domain; it once raised "n and k must be finite and >= 1"
         counts = SessionCounts(1000.0, 100.0, 0.9, 0.001, 0.0, 0.0)
-        res = finite_key_length(counts, SecurityParams(eps_prime=0.2), 0.01, 1.16)
+        res = finite_key_length(counts, SecurityParams(eps_prime=0.2), 0.01)
         assert res.n_nmp_z > 0.0
         assert res.phi_x_upper == 0.5 and res.ell == 0
 
@@ -369,13 +369,13 @@ class TestSessionCounts:
         tallies = [1e9, 1e6, 1e5, 1e3, 10.0, 1.0]
         tallies[field] = value
         with pytest.raises(ValueError, match="must be finite and >= 0"):
-            finite_key_length(SessionCounts(*tallies), security, 0.01, f_ec(0.01))
+            finite_key_length(SessionCounts(*tallies), security, 0.01)
 
 
 class TestFiniteKeyLength:
     def test_zero_pulses(self, security):
         counts = SessionCounts(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        res = finite_key_length(counts, security, 0.01, f_ec(0.01))
+        res = finite_key_length(counts, security, 0.01)
         assert res.ell == 0 and res.rate == 0.0
 
     def test_penalty_constant(self, security):
@@ -388,7 +388,7 @@ class TestFiniteKeyLength:
         counts = expected_counts(source, ch, detector,
                                  ProtocolParams(p_x=0.9), source.rep_rate * 60.0)
         p_c, p_e = click_error_probs(source, ch, detector)
-        res = finite_key_length(counts, security, p_e / p_c, f_ec(p_e / p_c))
+        res = finite_key_length(counts, security, p_e / p_c)
         assert res.n_mp_upper_x >= counts.n_mp_star_x
         assert res.n_mp_upper_z >= counts.n_mp_star_z
         assert res.n_nmp_x <= counts.n_rx_x
@@ -404,7 +404,7 @@ class TestFiniteKeyLength:
         for n_sent in (1e8, 1e9, 1e10, 1e11):
             counts = expected_counts(source, ch, detector,
                                      ProtocolParams(p_x=0.9), n_sent)
-            res = finite_key_length(counts, security, p_e / p_c, f_ec(p_e / p_c))
+            res = finite_key_length(counts, security, p_e / p_c)
             assert res.ell >= previous
             previous = res.ell
 
@@ -416,7 +416,7 @@ class TestFiniteKeyLength:
             p_c, p_e = click_error_probs(source, ch, detector)
             counts = expected_counts(source, ch, detector,
                                      ProtocolParams(p_x=p_x), 1e10)
-            res = finite_key_length(counts, security, p_e / p_c, f_ec(p_e / p_c))
+            res = finite_key_length(counts, security, p_e / p_c)
             asym = asymptotic_rate(source, ch, detector, ProtocolParams(p_x=p_x))
             assert res.rate <= asym.rate_per_pulse + 1e-15
 
@@ -439,13 +439,13 @@ class TestFiniteKeyLength:
         ch = ChannelModel(10.0)
         p_c, p_e = click_error_probs(source, ch, detector)
         counts = expected_counts(source, ch, detector, ProtocolParams(p_x=0.9), 1e10)
-        assert finite_key_length(counts, security, p_e / p_c, f_ec(p_e / p_c)).ell > 0
+        assert finite_key_length(counts, security, p_e / p_c).ell > 0
         assert len(spent) == 3  # two Chernoff caps and one sampling correction
         assert sum(spent) + security.eps_pa == pytest.approx(security.eps_sec, rel=1e-12)
 
     def test_multiphoton_exhaustion_gives_zero(self, security):
         counts = SessionCounts(1e6, 100.0, 100.0, 1.0, 500.0, 500.0)
-        res = finite_key_length(counts, security, 0.01, f_ec(0.01))
+        res = finite_key_length(counts, security, 0.01)
         assert res.ell == 0
         assert res.n_nmp_x == 0.0
 
@@ -461,7 +461,7 @@ class TestFiniteKeyLength:
         protocol = ProtocolParams(p_x=p_x, att=att)
         counts = expected_counts(source, ch, detector, protocol, 10.0**log_n_sent)
         p_c, p_e = click_error_probs(source, ch, detector, att)
-        res = finite_key_length(counts, security, p_e / p_c, f_ec(p_e / p_c))
+        res = finite_key_length(counts, security, p_e / p_c)
         assert res.ell >= 0
         assert res.ell <= counts.n_rx_x
         assert 0.0 <= res.rate <= 1.0
@@ -486,7 +486,7 @@ class TestFiniteKeyLength:
                                           10.0**log_multi_share * p_c)
         sec = SecurityParams(eps_prime=10.0**log_eps_prime, eps_cor=10.0**log_eps_cor)
         try:
-            res = finite_key_length(counts, sec, e, f_ec(e))
+            res = finite_key_length(counts, sec, e)
         except ValueError:  # gamma_u out of its regime
             return
         if res.phi_x_upper >= 0.5:

@@ -168,6 +168,10 @@ class TestSamplingBoundCoverage:
     def test_error_free_population_always_covered(self):
         assert sampling_bound_coverage(1000, 1000, 0, 1e-2, 2_000, seed=8) == 0.0
 
+    def test_observed_rate_of_one_half_covers(self):
+        # every item errs, so every sample observes rate 1 >= 1/2 and chi = 1
+        assert sampling_bound_coverage(10, 10, 20, 1e-2, 100) == 0.0
+
     def test_symmetric_instance_at_operating_error_rate(self):
         # 2% population errors: exact enumeration gives exceedance 0.0078
         exceed = sampling_bound_coverage(1000, 1000, 40, 1e-2, 10_000, seed=9)

@@ -10,7 +10,7 @@ from bb84rate import optimize
 from bb84rate import (ChannelModel, DetectorModel, NoPositiveRateError, OptimizationConfig,
                       OptimizedPoint, ProtocolParams, SecurityParams, SourceModel,
                       asymptotic_rate, finite_key_length, expected_counts, click_error_probs,
-                      f_ec, max_tolerable_loss, optimize_point, run_sweep)
+                      max_tolerable_loss, optimize_point, run_sweep)
 from bb84rate.entropy import binary_entropy
 from bb84rate.finitekey import _ell
 from bb84rate.models import _link
@@ -80,6 +80,16 @@ class TestOptimizePoint:
         assert point.p_x == fast_opt.p_x_range[1]
         assert point.att == 1.0
 
+    @pytest.mark.parametrize("block", [{"n_sent": 1e10}, {"n_received": 1e6}],
+                             ids=["n_sent", "n_received"])
+    def test_column_that_never_clicks_has_no_result(self, source, fast_opt, block):
+        # without dark counts the transmittance 10**-400 underflows to 0, so
+        # no column clicks: the tie-break corner wins at rate 0, with no result
+        det = DetectorModel(0.6525, 0.0, 27.5e-9, 0.003)
+        point = optimize_point(source, ChannelModel(4000.0), det, fast_opt, mode="finite",
+                               **block)
+        assert point == OptimizedPoint(fast_opt.p_x_range[1], 1.0, 0.0, 0.0, None)
+
     def test_optimization_never_loses_to_defaults(self, source, detector, fast_opt):
         ch = ChannelModel(19.04)
         n_sent = 160.7e6 * 60.0
@@ -87,7 +97,7 @@ class TestOptimizePoint:
         p_c, p_e = click_error_probs(source, ch, detector, 1.0)
         counts = expected_counts(source, ch, detector, ProtocolParams(p_x=0.5), n_sent)
         from bb84rate import SecurityParams
-        default = finite_key_length(counts, SecurityParams(), p_e / p_c, f_ec(p_e / p_c))
+        default = finite_key_length(counts, SecurityParams(), p_e / p_c)
         assert point.rate_per_pulse >= default.rate
 
     def test_fixed_axes(self, source, detector, fast_opt):
@@ -179,7 +189,7 @@ class TestOptimizePoint:
         p_c, p_e = click_error_probs(source, ch, detector, 1.0)
         counts = expected_counts(source, ch, detector,
                                  ProtocolParams(p_x=cfg.p_x_range[1], att=1.0), n_sent)
-        top = original(counts, SecurityParams(), p_e / p_c, f_ec(p_e / p_c))
+        top = original(counts, SecurityParams(), p_e / p_c)
         assert repr(point.result) == repr(top)
 
     def test_internal_counts_match_expected_counts(self, source, detector, fast_opt):
@@ -369,7 +379,7 @@ def exhaustive_walk(src, ch, det, cfg, *, mode, sec=SecurityParams(), n_sent=Non
         p_x_range = (p_x_range[1], p_x_range[1])
     att_range = cfg.att_range if fixed_att is None else (fixed_att, fixed_att)
     best = None
-    for p_xs, atts in optimize._round_grids(cfg, p_x_range, att_range, lambda: best[1:3]):
+    for p_xs, atts in optimize._round_grids(cfg, (p_x_range, att_range), lambda: best[1:3]):
         for att in atts:
             column = column_at(att)
             for p_x in p_xs:
