@@ -17,8 +17,10 @@ codes: 0 success, 1 config error, 2 runtime or assertion failure.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 from typing import Sequence
 
@@ -51,6 +53,12 @@ def _echo_lines(resolved: dict) -> list[str]:
                 value = _fmt(value)
             lines.append(f"# {section}.{key} = {value}")
     return lines
+
+
+def _check_out(path: str) -> None:
+    """Raise, before any work, the error that opening path in a missing directory raises."""
+    if path != "-" and not os.path.isdir(os.path.dirname(path) or os.curdir):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -282,6 +290,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
+        _check_out(args.out)
         result = _COMMANDS[args.command][1](cfg, args)
         if not isinstance(result, dict):
             _emit_table(args.out, args.format, cfg.resolved, *result)

@@ -132,14 +132,18 @@ def _read_raw(path: str | None) -> dict[str, dict[str, object]]:
     values: dict[str, dict[str, object]] = {s: dict() for s in _SCHEMA}
     if path is None:
         return values
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    # values are numbers, so a '%' in one (say '5%') is a bad value; with
+    # interpolation it raised configparser.Error at lookup, after parsing
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     try:
         with open(path, encoding="utf-8-sig") as fh:
             parser.read_file(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     except configparser.Error as exc:
-        raise ConfigError(f"config parse error: {exc}") from exc
+        # configparser spreads the file, line number and line over up to three lines
+        message = " ".join(line.strip() for line in str(exc).splitlines())
+        raise ConfigError(f"config parse error: {message}") from exc
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")

@@ -317,17 +317,19 @@ def _binomial_quantile(_sp, eps: float, n: int, q: float, start: float) -> int:
     where eps < CDF(0) = (1 - q)**n, e.g. at q = 0 or q = 1e-300, and there
     the answer is -1 (in 200,000 seeded draws, n from 1 to 10**13, eps from
     1e-300 to 0.1 and q from 1e-320 to 1 - 1e-300, every NaN start had
-    answer -1); at q = 1 it returns a finite start. A NaN start still
-    bisects on the CDF first, as the guard for a NaN those draws did not
-    find, keeping hi infeasible and lo feasible unless no m is. From there the
-    walk evaluates each CDF once: from a start whose CDF exceeds eps it
-    steps down to the first m whose CDF does not (or to -1), otherwise up
-    while the next CDF does not exceed eps. The answer does not depend on
-    the start, only the number of CDF evaluations does: two from the answer
-    or from one above it.
+    answer -1); at q = 1 it returns a finite start. A NaN start returns -1
+    after one CDF evaluation when CDF(0) > eps. Otherwise it bisects on the
+    CDF first, as the guard for a NaN those draws did not find, keeping hi
+    infeasible and lo feasible. From there the walk evaluates each CDF
+    once: from a start whose CDF exceeds eps it steps down to the first m
+    whose CDF does not (or to -1), otherwise up while the next CDF does not
+    exceed eps. The answer does not depend on the start, only the number of
+    CDF evaluations does: two from the answer or from one above it.
     """
     if math.isfinite(start):
         m = min(n, max(0, int(start)))
+    elif _binomial_cdf(_sp, 0, n, q) > eps:
+        return -1
     else:
         lo, hi = 0, n
         while hi - lo > 1:

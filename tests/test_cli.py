@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from bb84rate import (ChannelModel, DetectorModel, OptimizationConfig, ProtocolParams,
                       SecurityParams, SourceModel, TrialConfig, click_error_probs)
+from bb84rate import cli
 from bb84rate.cli import main, read_result_csv
 from bb84rate.config import _SCHEMA, ConfigError, load_config, parse_values
 
@@ -424,6 +425,17 @@ class TestRuntimeFailure:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(out) in err
 
+    @pytest.mark.parametrize("command", ["finite", "oracle"])
+    def test_unwritable_output_fails_before_the_command_runs(self, tmp_path, capsys,
+                                                             monkeypatch, command):
+        def handler(cfg, args):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setitem(cli._COMMANDS, command, ("", handler))
+        out = tmp_path / "missing" / "x.csv"
+        assert main([command, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {no_such_file(str(out))}\n"
+
 
 class TestConfigHandling:
     def test_unknown_key_rejected(self, tmp_path, capsys):
@@ -437,12 +449,27 @@ class TestConfigHandling:
         assert capsys.readouterr().err == (f"config error: cannot read config file {cfg!r}: "
                                            f"{no_such_file(cfg)}\n")
 
+    # configparser's messages span up to three lines; each parse error is one
+    # line that names the file and the line number
     def test_key_before_any_section_rejected(self, tmp_path, capsys):
         cfg = write(tmp_path / "run.ini", "x = 1\n[source]\n")
         assert main(["finite", "--config", cfg, "--out", "-"]) == 1
         assert capsys.readouterr().err == ("config error: config parse error: File contains no "
-                                           f"section headers.\nfile: {cfg!r}, line: 1\n"
+                                           f"section headers. file: {cfg!r}, line: 1 "
                                            "'x = 1\\n'\n")
+
+    def test_line_without_a_key_rejected(self, tmp_path, capsys):
+        cfg = write(tmp_path / "run.ini", "[source]\nfoo\n")
+        assert main(["finite", "--config", cfg, "--out", "-"]) == 1
+        assert capsys.readouterr().err == ("config error: config parse error: Source contains "
+                                           f"parsing errors: {cfg!r} [line  2]: 'foo\\n'\n")
+
+    def test_percent_sign_is_a_bad_value(self, tmp_path, capsys):
+        # configparser's interpolation once raised on it, after reading: exit 2
+        cfg = write(tmp_path / "run.ini", "[channel]\nloss_db = 5%\n")
+        assert main(["finite", "--config", cfg, "--out", "-"]) == 1
+        assert capsys.readouterr().err == ("config error: bad value for [channel] loss_db = "
+                                           "'5%': could not convert string to float: '5%'\n")
 
     def test_unknown_section_rejected(self, tmp_path, capsys):
         cfg = write(tmp_path / "run.ini", "[lasers]\npower = 1\n")

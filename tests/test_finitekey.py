@@ -257,10 +257,20 @@ class TestInverseBinomialCdf:
         assert inverse_binomial_cdf(1e-3, 3, 0.5) == -1
 
     def test_unreachable_when_bdtrik_gives_up(self):
-        # bdtrik gives NaN, so the bisection starts from lo = 0 although
-        # CDF(0) = 1 > eps; the downward walk then ends at -1
+        # bdtrik gives NaN where CDF(0) = 1 > eps, and the answer is -1
         assert math.isnan(special.bdtrik(1e-15, 10**6, 1e-300))
         assert inverse_binomial_cdf(1e-15, 10**6, 1e-300) == -1
+
+    @pytest.mark.parametrize("n, q", [(10**13, 1e-300), (10**6, 0.0)])
+    def test_nan_start_with_no_answer_costs_one_cdf(self, monkeypatch, n, q):
+        # a NaN start once bisected before walking down to -1: 44 and 20
+        # CDF evaluations here
+        calls = []
+        cdf = finitekey._binomial_cdf
+        monkeypatch.setattr(finitekey, "_binomial_cdf", lambda *a: calls.append(a) or cdf(*a))
+        assert math.isnan(special.bdtrik(1e-15, n, q))
+        assert inverse_binomial_cdf(1e-15, n, q) == -1
+        assert len(calls) == 1
 
     def test_degenerate_success_probabilities(self):
         # q = 1: CDF is 0 below n and 1 at n, so the answer is n - 1;

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,13 +126,21 @@ def random_session_inputs(rnd: random.Random, chunk: int):
 
 
 class TestSparseSampler:
-    # the jump cut-off at its value, forced to always draw, forced to always jump
-    @pytest.mark.parametrize("jump_fraction,draws", [(None, 300), (0.0, 100), (math.inf, 100)])
-    def test_matches_the_dense_sampler(self, monkeypatch, jump_fraction, draws):
+    # the jump cut-off at its value, forced to always draw, forced to always
+    # jump; then every row drawn, in blocks of one value and of sizes that
+    # leave a chunk's last block partly filled (4096 = 585*7 + 1 = 4*1000 + 96).
+    # The default block is larger than the 4096-pulse chunk.
+    @pytest.mark.parametrize("jump_fraction,block,draws", [
+        (None, None, 300), (0.0, None, 100), (math.inf, None, 100),
+        (0.0, 1, 8), (0.0, 7, 40), (0.0, 1000, 100),
+    ])
+    def test_matches_the_dense_sampler(self, monkeypatch, jump_fraction, block, draws):
         monkeypatch.setattr(mc_oracle, "_CHUNK", 4096)
         if jump_fraction is not None:
             monkeypatch.setattr(mc_oracle, "_JUMP_FRACTION", jump_fraction)
-        rnd = random.Random(f"sparse-sampler:{jump_fraction}")
+        if block is not None:
+            monkeypatch.setattr(mc_oracle, "_BLOCK", block)
+        rnd = random.Random(f"sparse-sampler:{jump_fraction}:{block}")
         for _ in range(draws):
             inputs = random_session_inputs(rnd, mc_oracle._CHUNK)
             assert sample_session(*inputs) == dense_reference_session(*inputs), inputs
@@ -141,6 +150,22 @@ class TestSparseSampler:
         inputs = (source, ChannelModel(3.0), detector, ProtocolParams(p_x=0.8, att=0.7),
                   TrialConfig(2024, 2 * mc_oracle._CHUNK + 12345))
         assert sample_session(*inputs) == dense_reference_session(*inputs)
+
+    def test_a_session_holds_no_chunk_sized_row(self, source, detector):
+        # at 0 dB rows 0, 3 and 5-9 are drawn, not jumped through; a
+        # chunk-sized float64 row is 8 MiB, and the draws' buffer and all the
+        # sampler keeps stay under half of it. A first session loads what
+        # numpy loads lazily.
+        inputs = (source, ChannelModel(0.0), detector, _protocol(),
+                  TrialConfig(2024, 2 * mc_oracle._CHUNK + 12345))
+        sample_session(*inputs[:4], TrialConfig(1, 1000))
+        tracemalloc.start()
+        try:
+            sample_session(*inputs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestChernoffCoverage:
