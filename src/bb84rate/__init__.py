@@ -15,7 +15,7 @@ from .mc_oracle import (SampledSession, TrialConfig, chernoff_coverage, sample_s
 from .models import (ChannelModel, DetectorModel, ProtocolParams, SourceModel, click_error_probs,
                      dead_time_corrected_click)
 from .optimize import (NoPositiveRateError, OptimizationConfig, OptimizedPoint,
-                       max_tolerable_loss, optimize_point, run_sweep)
+                       max_tolerable_loss, optimize_point)
 
 __version__ = "0.1.0"
 
@@ -49,7 +49,6 @@ __all__ = [
     "lambda_ec",
     "max_tolerable_loss",
     "optimize_point",
-    "run_sweep",
     "sample_session",
     "sampling_bound_coverage",
 ]

@@ -2,12 +2,12 @@
 
 Subcommands: asymptotic | finite | maxloss | fit-qber | oracle, listed
 once in _COMMANDS with their handlers. A curve handler (asymptotic,
-finite, maxloss) returns a header and rows, which main emits as CSV (or
-JSON with --format json); a report handler (fit-qber, oracle) returns a
-report, which main writes as JSON. main writes every output and picks
-every exit code. Every output embeds the fully resolved configuration,
-so results are self-describing, and outputs are byte-deterministic for
-a fixed config.
+finite, maxloss) returns a header and the rows of run_sweep, which main
+emits as CSV (or JSON with --format json); a report handler (fit-qber,
+oracle) returns a report, which main writes as JSON. main writes every
+output and picks every exit code. Every output embeds the fully resolved
+configuration, so results are self-describing, and outputs are
+byte-deterministic for a fixed config.
 
 CSV schema: UTF-8, comma-separated, '.' decimal separator, no thousands
 separators. Leading lines starting with '# ' carry the resolved config as
@@ -22,13 +22,13 @@ import json
 import math
 import os
 import sys
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .asymptotic import QberMeasurement, fit_misalignment
 from .config import ConfigError, RunConfig, load_config
 from .mc_oracle import TrialConfig, run_oracle_suite
 from .models import ChannelModel
-from .optimize import NoPositiveRateError, max_tolerable_loss, optimize_point, run_sweep
+from .optimize import NoPositiveRateError, max_tolerable_loss, optimize_point
 
 __all__ = ["main", "read_result_csv"]
 
@@ -56,7 +56,10 @@ def _echo_lines(resolved: dict) -> list[str]:
 
 
 def _check_out(path: str) -> None:
-    """Raise, before any work, the error that opening path in a missing directory raises."""
+    """Raise, before any work, the error that opening path raises when it names
+    a directory or lies in a missing one."""
+    if path != "-" and os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     if path != "-" and not os.path.isdir(os.path.dirname(path) or os.curdir):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
@@ -109,28 +112,40 @@ def read_result_csv(path: str) -> tuple[dict[str, str], list[str], list[list[str
     return echo, header, rows
 
 
-def _cmd_asymptotic(cfg: RunConfig, args: argparse.Namespace) -> tuple[list[str], list]:
-    def point_at(distance_km: float):
-        return optimize_point(cfg.source, ChannelModel.from_fiber(distance_km, cfg.loss_per_km_db),
-                              cfg.detector, cfg.optimizer, mode="asymptotic",
-                              fixed_p_x=cfg.protocol.p_x)
+def run_sweep(values: Iterable[float], row_at: Callable[[float], list],
+              empty_at: Callable[[float], list]) -> list[list]:
+    """The table rows of a sweep, one per value, in order, each ending in its status.
 
-    distances = cfg.asymptotic_distances_km
+    row_at(value) gives the cells of a value with a result, status "ok". A
+    value without key at any loss (NoPositiveRateError), one the models
+    reject (ValueError) and one whose arithmetic fails give the cells of
+    empty_at(value) instead, with a status that says which.
+    """
+    table = []
+    for value in values:
+        try:
+            row = row_at(value) + ["ok"]
+        except NoPositiveRateError:
+            row = empty_at(value) + ["no_key_at_any_loss"]
+        except (ValueError, ArithmeticError) as exc:
+            row = empty_at(value) + [f"error: {exc}"]
+        table.append(row)
+    return table
+
+
+def _cmd_asymptotic(cfg: RunConfig, args: argparse.Namespace) -> tuple[list[str], list]:
+    def row_at(distance_km: float) -> list:
+        point = optimize_point(cfg.source, ChannelModel.from_fiber(distance_km, cfg.loss_per_km_db),
+                               cfg.detector, cfg.optimizer, mode="asymptotic",
+                               fixed_p_x=cfg.protocol.p_x)
+        res = point.result
+        return [distance_km, distance_km * cfg.loss_per_km_db, point.rate_bps,
+                res.single_photon_fraction, res.e_z, res.p_click, point.att]
+
     header = ["distance_km", "loss_db", "rate_bps", "single_photon_fraction",
               "qber", "p_click", "att", "status"]
-    table = []
-    for distance, (point, status) in zip(distances, run_sweep(distances, point_at)):
-        res = point.result
-        cells = (res.single_photon_fraction, res.e_z, res.p_click) if res else (math.nan,) * 3
-        table.append([
-            distance,
-            distance * cfg.loss_per_km_db,
-            point.rate_bps,
-            *cells,
-            point.att,
-            status,
-        ])
-    return header, table
+    return header, run_sweep(cfg.asymptotic_distances_km, row_at,
+                             lambda d: [d, d * cfg.loss_per_km_db, 0.0, *(math.nan,) * 4])
 
 
 # FiniteKeyResult/SessionCounts fields emitted by `finite`, in column order.
@@ -148,43 +163,34 @@ def _cmd_finite(cfg: RunConfig, args: argparse.Namespace) -> tuple[list[str], li
     else:
         axis, values = "acquisition_time_s", cfg.finite_acquisition_times_s
 
-    def point_at(value: float):
+    def row_at(value: float) -> list:
         size = dict(n_received=value) if by_block else dict(n_sent=cfg.source.rep_rate * value)
-        return optimize_point(cfg.source, channel, cfg.detector, cfg.optimizer,
-                              mode="finite", sec=cfg.security, **size)
-
-    header = [axis, "loss_db", "p_x", "att", "rate_bps", "rate_per_pulse",
-              *_FINITE_COLUMNS, "status"]
-    table = []
-    for value, (point, status) in zip(values, run_sweep(values, point_at)):
+        point = optimize_point(cfg.source, channel, cfg.detector, cfg.optimizer,
+                               mode="finite", sec=cfg.security, **size)
         res = point.result
         fields = {**vars(res.counts), **vars(res)} if res else {}
         cells = [fields[c] for c in _FINITE_COLUMNS] if res else _NO_RESULT
-        table.append([value, channel.loss_db, point.p_x, point.att, point.rate_bps,
-                      point.rate_per_pulse, *cells, status])
-    return header, table
+        return [value, channel.loss_db, point.p_x, point.att, point.rate_bps,
+                point.rate_per_pulse, *cells]
+
+    header = [axis, "loss_db", "p_x", "att", "rate_bps", "rate_per_pulse",
+              *_FINITE_COLUMNS, "status"]
+    return header, run_sweep(values, row_at, lambda value: [
+        value, channel.loss_db, math.nan, math.nan, 0.0, 0.0, *_NO_RESULT])
 
 
 def _cmd_maxloss(cfg: RunConfig, args: argparse.Namespace) -> tuple[list[str], list]:
-    header = ["acquisition_time_s", "max_loss_db", "p_x_opt", "att_opt", "status"]
-    table = []
-    for t in cfg.maxloss_times_s:
+    def row_at(t: float) -> list:
         n_sent = cfg.source.rep_rate * t
-        # a time the models reject gives an error row, as in run_sweep
-        try:
-            boundary = max_tolerable_loss(cfg.source, cfg.detector, cfg.optimizer,
-                                          mode="finite", sec=cfg.security, n_sent=n_sent)
-            probe = max(0.0, boundary - cfg.optimizer.loss_bisection_tol_db)
-            point = optimize_point(cfg.source, ChannelModel(loss_db=probe), cfg.detector,
-                                   cfg.optimizer, mode="finite", sec=cfg.security,
-                                   n_sent=n_sent)
-            row = [t, boundary, point.p_x, point.att, "ok"]
-        except NoPositiveRateError:
-            row = [t, math.nan, math.nan, math.nan, "no_key_at_any_loss"]
-        except (ValueError, ArithmeticError) as exc:
-            row = [t, math.nan, math.nan, math.nan, f"error: {exc}"]
-        table.append(row)
-    return header, table
+        boundary = max_tolerable_loss(cfg.source, cfg.detector, cfg.optimizer,
+                                      mode="finite", sec=cfg.security, n_sent=n_sent)
+        probe = max(0.0, boundary - cfg.optimizer.loss_bisection_tol_db)
+        point = optimize_point(cfg.source, ChannelModel(loss_db=probe), cfg.detector,
+                               cfg.optimizer, mode="finite", sec=cfg.security, n_sent=n_sent)
+        return [t, boundary, point.p_x, point.att]
+
+    header = ["acquisition_time_s", "max_loss_db", "p_x_opt", "att_opt", "status"]
+    return header, run_sweep(cfg.maxloss_times_s, row_at, lambda t: [t, *(math.nan,) * 3])
 
 
 def _read_qber_csv(path: str) -> list[QberMeasurement]:

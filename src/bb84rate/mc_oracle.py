@@ -184,20 +184,22 @@ def _below(rng: np.random.Generator, buf: np.ndarray, m: int,
 
 
 def _row(rng: np.random.Generator, buf: np.ndarray, m: int, idx: np.ndarray,
-         *thresholds: float) -> np.ndarray:
+         threshold: float) -> np.ndarray:
     """Uniforms of the chunk's next row of m draws at the sorted pulse indices idx.
 
     Every path leaves the stream at the row's end, where a dense draw
-    leaves it, so the values do not depend on the path. A row whose
-    thresholds all lie outside (0, 1) is not read: every u in [0, 1)
-    compares with them alike, so zeros stand in. A row needed at fewer than
-    m * _JUMP_FRACTION pulses jumps to each of them with PCG64.advance;
-    any other row is drawn block by block, keeping the values at idx.
+    leaves it, so the values do not depend on the path. threshold is what
+    the caller compares u with; a row compared with several passes any of
+    them that lies inside (0, 1). A row whose threshold lies outside (0, 1)
+    is not read: every u in [0, 1) compares with it alike, so zeros stand
+    in. A row needed at fewer than m * _JUMP_FRACTION pulses jumps to each
+    of them with PCG64.advance; any other row is drawn block by block,
+    keeping the values at idx.
     """
     # imported here, not at module level, so that only the oracle loads numpy
     import numpy as np
 
-    if len(idx) == 0 or all(t <= 0.0 or t >= 1.0 for t in thresholds):
+    if len(idx) == 0 or threshold <= 0.0 or threshold >= 1.0:
         rng.bit_generator.advance(m)
         return np.zeros(len(idx))
     if len(idx) >= m * _JUMP_FRACTION:
@@ -258,7 +260,7 @@ def sample_session(src: SourceModel, ch: ChannelModel, det: DetectorModel,
         kept = _row(rng, buf, m, cand, c_dt) < c_dt
         click = cand[kept]
         err_thr = np.where(np.isin(cand, signal, assume_unique=True)[kept], mis, 0.5)
-        err = click[_row(rng, buf, m, click, mis, 0.5) < err_thr]
+        err = click[_row(rng, buf, m, click, 0.5) < err_thr]
         sifted = np.union1d(click, multi)
         alice_x = _row(rng, buf, m, sifted, p_x) < p_x
         bob_x = _row(rng, buf, m, sifted, p_x) < p_x

@@ -1,4 +1,4 @@
-"""Protocol-parameter optimization, loss-boundary search and sweeps.
+"""Protocol-parameter optimization and loss-boundary search.
 
 The rate surface has floor and clamp kinks, so optimization is a
 deterministic coarse grid over (basis bias, pre-attenuation) followed by
@@ -40,16 +40,12 @@ optimize_point and the loss-boundary search consume the same walk, which
 yields the tie-break corner and then each better point. The loss search
 only needs to know whether the optimum is positive, so a probe stops at
 the first positive yield; it answers exactly as the full search would.
-
-A sweep is one optimize_point call per value: the caller builds each
-operating point, and run_sweep turns a point the models reject into a
-zero-rate error row instead of aborting the sweep.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from .asymptotic import AsymptoticResult, _gllp_factors, _rate_per_pulse, asymptotic_rate, f_ec
 from .entropy import binary_entropy
@@ -64,7 +60,6 @@ __all__ = [
     "OptimizedPoint",
     "optimize_point",
     "max_tolerable_loss",
-    "run_sweep",
 ]
 
 class NoPositiveRateError(RuntimeError):
@@ -518,21 +513,3 @@ def max_tolerable_loss(
             hi = mid
     return 0.5 * (lo + hi)
 
-
-def run_sweep(
-    values:Iterable[float], point_at: Callable[[float], OptimizedPoint],
-) -> list[tuple[OptimizedPoint, str]]:
-    """Optimize one point per sweep value, in order: (point, status) pairs.
-
-    point_at builds and optimizes the operating point of one value. A
-    value the models reject (ValueError) or whose arithmetic fails gives a
-    zero-rate point with NaN p_x/att, no result and an "error: ..."
-    status; every other point has status "ok".
-    """
-    rows: list[tuple[OptimizedPoint, str]] = []
-    for value in values:
-        try:
-            rows.append((point_at(value), "ok"))
-        except (ValueError, ArithmeticError) as exc:
-            rows.append((OptimizedPoint(math.nan, math.nan, 0.0, 0.0, None), f"error: {exc}"))
-    return rows

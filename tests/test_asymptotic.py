@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -60,6 +61,13 @@ class TestFEc:
 
 
 class TestFitMisalignment:
+    @pytest.mark.parametrize("value", [0.5000001, 1.0])
+    def test_measured_qber_above_one_half_rejected(self, value):
+        message = f"qber must be in [0, 0.5], got {value}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            QberMeasurement(distance_km=10.0, qber=value)
+        assert QberMeasurement(distance_km=10.0, qber=0.5).qber == 0.5
+
     DISTANCES = [0.0, 25.0, 50.0, 75.0, 100.0, 140.0, 175.0]
 
     def synth(self, source, detector, p_mis, noise=0.0, seed=None):

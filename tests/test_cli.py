@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bb84rate import (ChannelModel, DetectorModel, OptimizationConfig, ProtocolParams,
-                      SecurityParams, SourceModel, TrialConfig, click_error_probs)
+from bb84rate import (ChannelModel, DetectorModel, NoPositiveRateError, OptimizationConfig,
+                      ProtocolParams, SecurityParams, SourceModel, TrialConfig, click_error_probs,
+                      optimize_point)
 from bb84rate import cli
 from bb84rate.cli import main, read_result_csv
 from bb84rate.config import _SCHEMA, ConfigError, load_config, parse_values
@@ -50,6 +51,51 @@ def no_such_file(path):
 def write(path, text):
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def curve_rows(tmp_path, command, cfg):
+    """The header, the CSV rows and the JSON rows of one curve run.
+
+    Each JSON row is re-dumped as a list in header order, so the text tells
+    0 from 0.0 and shows NaN.
+    """
+    csv_out, json_out = tmp_path / "out.csv", tmp_path / "out.json"
+    assert main([command, "--config", cfg, "--out", str(csv_out)]) == 0
+    assert main([command, "--config", cfg, "--out", str(json_out), "--format", "json"]) == 0
+    _, header, rows = read_result_csv(str(csv_out))
+    payload = json.loads(json_out.read_text(encoding="utf-8"))
+    return header, rows, [json.dumps([row[c] for c in header]) for row in payload["rows"]]
+
+
+class TestRunSweep:
+    def test_per_point_errors_flagged(self, source, detector, fast_opt):
+        def row_at(d):
+            point = optimize_point(source, ChannelModel.from_fiber(d), detector, fast_opt,
+                                   mode="asymptotic")
+            return [d, point.rate_bps]
+
+        rows = cli.run_sweep((-5.0, 10.0), row_at, lambda d: [d, 0.0])
+        assert rows[0] == [-5.0, 0.0, "error: length_km must be >= 0, got -5.0"]
+        assert rows[1][0] == 10.0 and rows[1][1] > 0.0 and rows[1][2] == "ok"
+
+    def test_each_rejection_has_its_status(self):
+        def row_at(value):
+            if value == 1:
+                raise NoPositiveRateError("no key")
+            if value == 2:
+                raise ZeroDivisionError("float division by zero")
+            return [value, 10 * value]
+
+        rows = cli.run_sweep([0, 1, 2, 3], row_at, lambda value: [value, -1])
+        assert rows == [[0, 0, "ok"], [1, -1, "no_key_at_any_loss"],
+                        [2, -1, "error: float division by zero"], [3, 30, "ok"]]
+
+    def test_other_failures_propagate(self):
+        def row_at(value):
+            raise RuntimeError("not a sweep rejection")
+
+        with pytest.raises(RuntimeError, match="^not a sweep rejection$"):
+            cli.run_sweep([0], row_at, lambda value: [value])
 
 
 class TestAsymptoticCommand:
@@ -90,6 +136,22 @@ class TestAsymptoticCommand:
         assert all(len(r) == len(header) for r in rows)
         assert rows[0][header.index("status")].startswith("error:")
         assert rows[1][header.index("status")] == "ok"
+
+    def test_error_rows_pin_every_cell(self, tmp_path):
+        # a rejected distance keeps its distance and loss, with rate 0 and NaN elsewhere
+        cfg = write(tmp_path / "run.ini",
+                    FAST_OPT + "[asymptotic]\ndistances_km = -5,10,1e400\n")
+        _, rows, json_rows = curve_rows(tmp_path, "asymptotic", cfg)
+        assert rows[0] == ["-5", "-0.952", "0", "nan", "nan", "nan", "nan",
+                           "error: length_km must be >= 0; got -5.0"]
+        assert rows[1][-1] == "ok"
+        assert rows[2] == ["inf", "inf", "0", "nan", "nan", "nan", "nan",
+                           "error: length_km must be finite; got inf"]
+        assert json_rows[0] == ('[-5.0, -0.9520000000000001, 0.0, NaN, NaN, NaN, NaN, '
+                                '"error: length_km must be >= 0, got -5.0"]')
+        assert json_rows[1].endswith(', "ok"]')
+        assert json_rows[2] == ('[Infinity, Infinity, 0.0, NaN, NaN, NaN, NaN, '
+                                '"error: length_km must be finite, got inf"]')
 
     def test_infinite_distance_row_names_the_length(self, tmp_path):
         # the row once read "error: loss_db must be finite and >= 0; got inf"
@@ -190,6 +252,19 @@ class TestFiniteCommand:
             f"error: {block} must be finite and >= 0")
         assert float(rows[0][header.index("rate_bps")]) == 0.0
 
+    def test_error_row_pins_every_cell(self, tmp_path):
+        # a rejected block keeps its size and the channel loss; the rates and
+        # the key length are 0, and p_x, att and every tally are NaN
+        cfg = write(tmp_path / "run.ini", FAST_OPT + "[finite]\nblock_sizes_received = 1e4,1e20\n")
+        _, rows, json_rows = curve_rows(tmp_path, "finite", cfg)
+        assert rows[0][-1] == "ok"
+        message = "error: n must satisfy 1 <= n <= 10**13, got 25502500000000000000"
+        assert rows[1] == ["1e+20", "19.04", "nan", "nan", "0", "0", "0", *["nan"] * 12,
+                           message.replace(",", ";")]
+        assert json_rows[0].endswith(', "ok"]')
+        assert json_rows[1] == ("[1e+20, 19.040000000000003, NaN, NaN, 0.0, 0.0, 0, "
+                                + "NaN, " * 12 + f'"{message}"]')
+
     def test_att_grid_ends_on_its_range_end(self, tmp_path):
         # at att_min = 0.08 a 4-point grid once rounded its top to 1.0000000000000002
         cfg = write(tmp_path / "run.ini",
@@ -255,6 +330,22 @@ class TestMaxlossCommand:
         status = [row[header.index("status")] for row in rows]
         assert status[0] == "ok" and status[1].startswith("error: ")
         assert rows[1][header.index("max_loss_db")] == "nan"
+
+
+    def test_error_rows_pin_every_cell(self, tmp_path):
+        # a time without key and a time the models reject keep only their time
+        cfg = write(tmp_path / "run.ini",
+                    "[optimizer]\ngrid_resolution = 6\nrefinement_rounds = 1\n"
+                    "loss_bisection_tol_db = 0.5\n[maxloss]\nacquisition_times_s = 0,1,1e300\n")
+        _, rows, json_rows = curve_rows(tmp_path, "maxloss", cfg)
+        assert rows[0] == ["0", "nan", "nan", "nan", "no_key_at_any_loss"]
+        assert rows[1][-1] == "ok"
+        assert rows[2] == ["1e+300", "nan", "nan", "nan",
+                           "error: bound out of regime: log argument 0.0 <= 1"]
+        assert json_rows[0] == '[0.0, NaN, NaN, NaN, "no_key_at_any_loss"]'
+        assert json_rows[1].endswith(', "ok"]')
+        assert json_rows[2] == ('[1e+300, NaN, NaN, NaN, '
+                                '"error: bound out of regime: log argument 0.0 <= 1"]')
 
 
 class TestFitQberCommand:
@@ -435,6 +526,24 @@ class TestRuntimeFailure:
         out = tmp_path / "missing" / "x.csv"
         assert main([command, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {no_such_file(str(out))}\n"
+
+
+    @pytest.mark.parametrize("command", ["finite", "oracle"])
+    def test_directory_as_output_fails_before_the_command_runs(self, tmp_path, capsys,
+                                                                 monkeypatch, command):
+        # such an --out once failed only when it was opened, after the whole run
+        def handler(cfg, args):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setitem(cli._COMMANDS, command, ("", handler))
+        assert main([command, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(tmp_path)!r}\n")
+
+
+def test_read_result_csv_skips_blank_lines(tmp_path):
+    path = write(tmp_path / "rows.csv", "# a.b = 1\n\nx,y\n\n1,2\n\n")
+    assert read_result_csv(path) == ({"a.b": "1"}, ["x", "y"], [["1", "2"]])
 
 
 class TestConfigHandling:

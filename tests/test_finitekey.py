@@ -162,6 +162,12 @@ class TestGammaU:
         with pytest.raises(ValueError):
             gamma_u(1e6, 1e6, 0.25, 0.5)
 
+    @pytest.mark.parametrize("eps", [0.0, 1.0, -1e-3, math.nan])
+    def test_rejects_eps_outside_the_unit_interval(self, eps):
+        message = f"eps must be in (0, 1), got {eps}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            gamma_u(1e4, 1e4, 0.25, eps)
+
     @pytest.mark.parametrize("n, k", [(math.nan, 100.0), (100.0, math.nan),
                                       (math.inf, 100.0), (100.0, math.inf)])
     def test_rejects_nan_and_inf_sample_sizes(self, n, k):
@@ -380,6 +386,12 @@ class TestSessionCounts:
         tallies[field] = value
         with pytest.raises(ValueError, match="must be finite and >= 0"):
             finite_key_length(SessionCounts(*tallies), security, 0.01)
+
+    def test_rejects_more_z_errors_than_z_detections(self):
+        with pytest.raises(ValueError, match=r"^m_z \(6.0\) cannot exceed n_rx_z \(5.0\)$"):
+            SessionCounts(100.0, 10.0, 5.0, 6.0, 0.0, 0.0)
+        # an excess within rounding of the expected tallies is accepted
+        assert SessionCounts(100.0, 10.0, 5.0, 5.0 * (1.0 + 1e-13), 0.0, 0.0).m_z > 5.0
 
 
 class TestFiniteKeyLength:

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -188,6 +189,12 @@ class TestChernoffCoverage:
         with pytest.raises(ValueError):
             chernoff_coverage(50.0, 1e-2, 100)
 
+    @pytest.mark.parametrize("x_star", [-1.0, 1e6 + 1.0])
+    def test_x_star_outside_the_population_rejected(self, x_star):
+        message = f"x_star must be in [0, 1000000], got {x_star}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            chernoff_coverage(x_star, 1e-2, 1000)
+
 
 class TestSamplingBoundCoverage:
     def test_error_free_population_always_covered(self):
@@ -222,6 +229,30 @@ class TestSamplingBoundCoverage:
         exceed = sampling_bound_coverage(1000, 1000, 100, 1e-2, 5_000, seed=11,
                                          bound_scale=0.25)
         assert exceed > 1e-2 + 3 * math.sqrt(1e-2 / 5_000)
+
+
+    @pytest.mark.parametrize("n, k, population_errors, message", [
+        (0, 10, 0, "n and k must be >= 1, got n=0, k=10"),
+        (10, 0, 0, "n and k must be >= 1, got n=10, k=0"),
+        (10, 10, -1, "population_errors must be in [0, n+k], got -1"),
+        (10, 10, 21, "population_errors must be in [0, n+k], got 21"),
+    ])
+    def test_rejects_a_population_it_cannot_sample(self, n, k, population_errors, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sampling_bound_coverage(n, k, population_errors, 1e-2, 100)
+
+
+class TestSampledSession:
+    # tallies: pulses, clicks, errors, rx_x, rx_z, m_x, m_z, mp_x, mp_z
+    @pytest.mark.parametrize("tallies", [(100, 10, 5, 4, 4, 5, 0, 0, 0),
+                                         (100, 10, 5, 4, 4, 0, 5, 0, 0)])
+    def test_rejects_more_errors_than_sifted_detections(self, tallies):
+        with pytest.raises(ValueError, match="^error tallies exceed sifted detections$"):
+            SampledSession(*tallies)
+
+    def test_rejects_more_sifted_detections_than_clicks(self):
+        with pytest.raises(ValueError, match="^sifted detections exceed total clicks$"):
+            SampledSession(100, 7, 0, 4, 4, 0, 0, 0, 0)
 
 
 class TestBoundMonotonicity:

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -140,7 +141,29 @@ class TestDeadTime:
             assert p == pytest.approx(f, rel=1e-7)
 
 
+    @pytest.mark.parametrize("f, rep_rate, dead_time, message", [
+        (-0.1, 1e6, 1e-9, "f must be in [0, 1], got -0.1"),
+        (1.5, 1e6, 1e-9, "f must be in [0, 1], got 1.5"),
+        (0.5, -1.0, 2.0, "rep_rate * dead_time must be >= 0, got -2.0"),
+    ])
+    def test_rejects_inputs_outside_the_model(self, f, rep_rate, dead_time, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dead_time_corrected_click(f, rep_rate, dead_time)
+
+
 class TestErrorProb:
+    @pytest.mark.parametrize("misalignment", [0.5, 0.75])
+    def test_misalignment_of_one_half_or_more_rejected(self, misalignment):
+        message = f"misalignment must be in [0, 0.5), got {misalignment}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DetectorModel(0.5, 0.0, misalignment=misalignment)
+
+    @pytest.mark.parametrize("att", [0.0, -0.5, 1.5, math.nan])
+    def test_att_outside_the_unit_interval_rejected(self, source, detector, att):
+        message = f"att must be in (0, 1], got {att}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            click_error_probs(source, ChannelModel(0.0), detector, att)
+
     def test_no_error_sources(self):
         det = DetectorModel(det_efficiency=0.6525, dark_count_prob=0.0, misalignment=0.0)
         _, p_e = click_error_probs(baseline_source(), ChannelModel(10.0), det)

@@ -10,7 +10,7 @@ from bb84rate import optimize
 from bb84rate import (ChannelModel, DetectorModel, NoPositiveRateError, OptimizationConfig,
                       OptimizedPoint, ProtocolParams, SecurityParams, SourceModel,
                       asymptotic_rate, finite_key_length, expected_counts, click_error_probs,
-                      max_tolerable_loss, optimize_point, run_sweep)
+                      max_tolerable_loss, optimize_point)
 from bb84rate.entropy import binary_entropy
 from bb84rate.finitekey import _ell
 from bb84rate.models import _link
@@ -695,43 +695,23 @@ class TestAsymptoticKernel:
         assert asymptotic_rate(src, ChannelModel(higher), det, protocol).rate_per_pulse <= at_loss
 
 
-class TestRunSweep:
+class TestSweeps:
     def test_distance_sweep_monotone(self, source, detector, fast_opt):
-        def point_at(d):
-            return optimize_point(source, ChannelModel.from_fiber(d), detector, fast_opt,
-                                  mode="asymptotic", fixed_p_x=0.5)
-
-        rows = run_sweep((0.0, 50.0, 100.0, 150.0, 175.0), point_at)
-        rates = [point.rate_bps for point, _ in rows]
+        rates = [optimize_point(source, ChannelModel.from_fiber(d), detector, fast_opt,
+                                mode="asymptotic", fixed_p_x=0.5).rate_bps
+                 for d in (0.0, 50.0, 100.0, 150.0, 175.0)]
         assert all(a >= b for a, b in zip(rates, rates[1:]))
-        assert all(status == "ok" for _, status in rows)
 
     def test_block_size_sweep_nondecreasing(self, source, detector, fast_opt):
-        def point_at(n):
-            return optimize_point(source, ChannelModel(0.0), detector, fast_opt,
-                                  mode="finite", n_received=n)
-
-        rows = run_sweep((1e5, 1e6, 1e7), point_at)
-        rates = [point.rate_per_pulse for point, _ in rows]
+        rates = [optimize_point(source, ChannelModel(0.0), detector, fast_opt,
+                                mode="finite", n_received=n).rate_per_pulse
+                 for n in (1e5, 1e6, 1e7)]
         assert all(b >= a for a, b in zip(rates, rates[1:]))
 
     def test_acquisition_time_sweep(self, source, detector, fast_opt):
-        def point_at(t):
-            return optimize_point(source, ChannelModel(19.04), detector, fast_opt,
-                                  mode="finite", n_sent=source.rep_rate * t)
-
-        rows = run_sweep((1.0, 10.0), point_at)
-        assert [point.result.counts.n_sent for point, _ in rows] == [source.rep_rate * 1.0,
-                                                                      source.rep_rate * 10.0]
-        assert rows[1][0].rate_per_pulse >= rows[0][0].rate_per_pulse
-
-    def test_per_point_errors_flagged(self, source, detector, fast_opt):
-        def point_at(d):
-            return optimize_point(source, ChannelModel.from_fiber(d), detector, fast_opt,
-                                  mode="asymptotic")
-
-        rows = run_sweep((-5.0, 10.0), point_at)
-        point, status = rows[0]
-        assert status.startswith("error:")
-        assert point.rate_bps == 0.0 and math.isnan(point.p_x) and point.result is None
-        assert rows[1][1] == "ok"
+        points = [optimize_point(source, ChannelModel(19.04), detector, fast_opt,
+                                 mode="finite", n_sent=source.rep_rate * t)
+                  for t in (1.0, 10.0)]
+        assert [point.result.counts.n_sent for point in points] == [source.rep_rate * 1.0,
+                                                                    source.rep_rate * 10.0]
+        assert points[1].rate_per_pulse >= points[0].rate_per_pulse
