@@ -56,12 +56,18 @@ def _echo_lines(resolved: dict) -> list[str]:
 
 
 def _check_out(path: str) -> None:
-    """Raise, before any work, the error that opening path raises when it names
-    a directory or lies in a missing one."""
-    if path != "-" and os.path.isdir(path):
+    """Raise, before any work, the error that opening path for writing raises
+    when it names a directory or a directory on its way is missing or a file."""
+    if path == "-":
+        return
+    name = path.rstrip(os.sep)
+    try:
+        # the trailing separator makes a file on the way raise ENOTDIR, as open does
+        os.stat((os.path.dirname(name) or os.curdir) + os.sep)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    if name != path or os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    if path != "-" and not os.path.isdir(os.path.dirname(path) or os.curdir):
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
 def _write_text(path: str, text: str) -> None:

@@ -7,31 +7,30 @@ probabilities large enough to observe.
 
 Reproducibility contract
 ------------------------
-Streams come from numpy's PCG64 (``numpy.random.default_rng(seed)``);
-uniform doubles are drawn with ``Generator.random``. A session consumes
-its stream in fixed-size chunks of at most 2**20 pulses. A chunk of m
-pulses takes the next 10*m values row by row: row r is values r*m to
-(r+1)*m - 1 of the chunk, and value r*m + i belongs to pulse i. The rows
-are used in this order:
+A session draws from numpy's PCG64 stream ``numpy.random.default_rng(seed)``
+in this order:
 
-    0 photon-number choice   n=2 if u < p2, n=1 if p2 <= u < p2+p1, else 0
-    1 pre-attenuation, photon 1   survives iff u < att (and n >= 1)
-    2 pre-attenuation, photon 2   survives iff u < att (and n >= 2)
-    3 channel+detector, photon 1  detected iff u < eta_ch*eta_det
-    4 channel+detector, photon 2  detected iff u < eta_ch*eta_det
-    5 dark count                  iff u < p_dc
-    6 dead-time thinning          click kept iff u < c_dt
-    7 error flag                  signal click errs iff u < p_mis,
-                                  dark-only click errs iff u < 1/2
-    8 Alice basis                 X iff u < p_x
-    9 Bob basis                   X iff u < p_x
+1. the number of pulses that emit, N_e ~ Binomial(n_pulses, p1 + p2);
+2. the emitting pulses, in batches of at most 2**16, each batch of m
+   pulses taking ten ``Generator.random(m)`` rows, each compared with its
+   threshold (u < threshold):
 
-Values that no tally depends on are skipped with ``PCG64.advance``
-instead of drawn (rows 1-4 matter only where photons are present, rows
-6-9 only at click candidates and two-photon pulses, and a row whose
-threshold lies outside (0, 1) decides alike for every value), which
-leaves every tally as a dense draw of all 10*m values would. Identical
-configuration (seed included) therefore yields bit-identical tallies.
+       two photons                 p2 / (p1 + p2)
+       photon 1, 2 pass att        att (photon 2 only if there are two)
+       photon 1, 2 detected        eta_ch*eta_det (if it passed att)
+       dark count                  p_dc
+       dead-time keep              c_dt
+       error flag                  p_mis if a photon was detected, else 1/2
+       Alice's, Bob's basis X      p_x
+
+3. the vacuum pulses' kept dark clicks,
+   Binomial(Binomial(n_pulses - N_e, p_dc), c_dt);
+4. their split by one ``Generator.multinomial`` over {error, no error} x
+   {XX, ZZ, mismatched bases}, each dark click erring with probability 1/2.
+
+Each pulse thus follows the same per-pulse law as an independent draw of
+every quantity, and identical configuration (seed included) yields
+bit-identical tallies.
 
 The oracle suite derives its streams from the configured seed: the
 session at loss index idx is seeded with
@@ -44,7 +43,6 @@ and dataclasses that config imports from here load no numpy.
 """
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .finitekey import chernoff_upper, gamma_u
@@ -60,18 +58,8 @@ __all__ = [
     "run_oracle_suite",
 ]
 
-_CHUNK = 1 << 20
-# A row that is drawn is drawn this many values at a time into one buffer,
-# so a chunk holds no chunk-sized array. The block sets the speed and the
-# memory only, never a value.
-_BLOCK = 1 << 16
-# A row needed at fewer than this fraction of a chunk's pulses is read by
-# jumping to each of them. On a shared 2-vCPU x86 VM one jump and draw
-# costs about 1.2-2.4 us and a dense 2**20-value row, drawn in 16 blocks
-# with 15,000 values kept, about 2.8-4.9 ms: the two ranges move together,
-# and a dense row costs about 2,000 jumps. The cut-off sets the speed
-# only, never a value.
-_JUMP_FRACTION = 2.0**-10
+# the most emitting pulses one batch holds; it bounds the memory only
+_BATCH = 1 << 16
 _CHERNOFF_POPULATION = 10**6
 
 _MIN_TRIALS = {"chernoff_trials": 1000, "sampling_trials": 1}
@@ -148,79 +136,13 @@ class SampledSession:
             raise ValueError("sifted detections exceed total clicks")
 
 
-def _blocks(rng: np.random.Generator, buf: np.ndarray,
-            m: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Draw the chunk's next row of m values into buf, _BLOCK at a time.
-
-    Yields (start, block): block holds values start to start + len(block) - 1
-    of the row and is valid until the next block is drawn. Consecutive
-    Generator.random(out=...) calls take the stream exactly as one call of
-    size m does, so each value lands at the pulse a dense draw gives it.
-    """
-    for start in range(0, m, _BLOCK):
-        block = buf[:min(_BLOCK, m - start)]
-        rng.random(out=block)
-        yield start, block
-
-
-def _below(rng: np.random.Generator, buf: np.ndarray, m: int,
-           top: float) -> tuple[np.ndarray, np.ndarray]:
-    """The pulses of the chunk's next row of m draws whose u < top, and their u.
-
-    A row with top <= 0 has no such pulse and is not read.
-    """
-    # imported here, not at module level, so that only the oracle loads numpy
-    import numpy as np
-
-    if top <= 0.0:
-        rng.bit_generator.advance(m)
-        return np.zeros(0, dtype=np.intp), np.zeros(0)
-    pulses, values = [], []
-    for start, block in _blocks(rng, buf, m):
-        at = np.flatnonzero(block < top)
-        pulses.append(at + start)
-        values.append(block[at])
-    return np.concatenate(pulses), np.concatenate(values)
-
-
-def _row(rng: np.random.Generator, buf: np.ndarray, m: int, idx: np.ndarray,
-         threshold: float) -> np.ndarray:
-    """Uniforms of the chunk's next row of m draws at the sorted pulse indices idx.
-
-    Every path leaves the stream at the row's end, where a dense draw
-    leaves it, so the values do not depend on the path. threshold is what
-    the caller compares u with; a row compared with several passes any of
-    them that lies inside (0, 1). A row whose threshold lies outside (0, 1)
-    is not read: every u in [0, 1) compares with it alike, so zeros stand
-    in. A row needed at fewer than m * _JUMP_FRACTION pulses jumps to each
-    of them with PCG64.advance; any other row is drawn block by block,
-    keeping the values at idx.
-    """
-    # imported here, not at module level, so that only the oracle loads numpy
-    import numpy as np
-
-    if len(idx) == 0 or threshold <= 0.0 or threshold >= 1.0:
-        rng.bit_generator.advance(m)
-        return np.zeros(len(idx))
-    if len(idx) >= m * _JUMP_FRACTION:
-        pieces = np.split(idx, np.searchsorted(idx, range(_BLOCK, m, _BLOCK)))
-        return np.concatenate([block[piece - start]
-                               for (start, block), piece in zip(_blocks(rng, buf, m), pieces)])
-    advance = rng.bit_generator.advance
-    values, pos = [], 0
-    for i in idx.tolist():
-        if i > pos:
-            advance(i - pos)
-        values.append(rng.random())
-        pos = i + 1
-    if pos < m:
-        advance(m - pos)
-    return np.array(values)
-
-
 def sample_session(src: SourceModel, ch: ChannelModel, det: DetectorModel,
                    protocol: ProtocolParams, trial: TrialConfig) -> SampledSession:
-    """Sample one session pulse by pulse; deterministic for a given seed.
+    """Sample one session; deterministic for a given seed.
+
+    Each emitting pulse is simulated photon by photon; the vacuum pulses
+    can click only by a dark count, and their kept dark clicks are drawn
+    in aggregate (see the module's reproducibility contract).
 
     Photon numbers follow the source's two-photon distribution
     (SourceModel.photon_probs). The photon weights, the channel+detector
@@ -236,43 +158,30 @@ def sample_session(src: SourceModel, ch: ChannelModel, det: DetectorModel,
     att, p_x = protocol.att, protocol.p_x
     link = _link(src, ch, det)
     p1, p2, s_cd, mis = link.p1, link.p2, link.t_eta, link.misalignment
+    p_dc = det.dark_count_prob
     f, _ = _raw_click_error(link, att)
     c_dt = _click_error(link, att)[0] / f if f > 0.0 else 1.0
 
     rng = np.random.default_rng(trial.seed)
-    buf = np.empty(min(trial.n_pulses, _BLOCK))
+    n_emit = int(rng.binomial(trial.n_pulses, p1 + p2))
     tallies = np.zeros(8, dtype=np.int64)  # clicks, errors, rx_x, rx_z, m_x, m_z, mp_x, mp_z
-    remaining = trial.n_pulses
-    while remaining > 0:
-        m = min(remaining, _CHUNK)
-        remaining -= m
-        # each line reads one row, in the stream's order; index sets stay sorted
-        emit, u_emit = _below(rng, buf, m, p1 + p2)
-        two = emit[u_emit < p2]
-        n_chan = (_row(rng, buf, m, emit, att) < att).astype(np.int8)  # over emit
-        n_chan[np.searchsorted(emit, two)] += _row(rng, buf, m, two, att) < att
-        chan1, multi = emit[n_chan >= 1], emit[n_chan >= 2]
-        seen1 = chan1[_row(rng, buf, m, chan1, s_cd) < s_cd]
-        seen2 = multi[_row(rng, buf, m, multi, s_cd) < s_cd]
-        signal = np.union1d(seen1, seen2)
-        dark, _ = _below(rng, buf, m, det.dark_count_prob)
-        cand = np.union1d(signal, dark)
-        kept = _row(rng, buf, m, cand, c_dt) < c_dt
-        click = cand[kept]
-        err_thr = np.where(np.isin(cand, signal, assume_unique=True)[kept], mis, 0.5)
-        err = click[_row(rng, buf, m, click, 0.5) < err_thr]
-        sifted = np.union1d(click, multi)
-        alice_x = _row(rng, buf, m, sifted, p_x) < p_x
-        bob_x = _row(rng, buf, m, sifted, p_x) < p_x
-        both_x = alice_x & bob_x
-        both_z = ~alice_x & ~bob_x
-        at_click, at_err, at_multi = (np.searchsorted(sifted, i) for i in (click, err, multi))
-        tallies += (
-            len(click), len(err),
-            int(both_x[at_click].sum()), int(both_z[at_click].sum()),
-            int(both_x[at_err].sum()), int(both_z[at_err].sum()),
-            int(both_x[at_multi].sum()), int(both_z[at_multi].sum()),
-        )
+    for start in range(0, n_emit, _BATCH):
+        m = min(_BATCH, n_emit - start)
+        two = rng.random(m) < p2 / (p1 + p2)
+        chan1 = rng.random(m) < att
+        chan2 = two & (rng.random(m) < att)
+        signal = (chan1 & (rng.random(m) < s_cd)) | (chan2 & (rng.random(m) < s_cd))
+        click = (signal | (rng.random(m) < p_dc)) & (rng.random(m) < c_dt)
+        err = click & (rng.random(m) < np.where(signal, mis, 0.5))
+        alice_x, bob_x = rng.random(m) < p_x, rng.random(m) < p_x
+        bases = (alice_x & bob_x, ~(alice_x | bob_x))
+        tallies += (np.count_nonzero(click), np.count_nonzero(err),
+                    *(np.count_nonzero(event & basis)
+                      for event in (click, err, chan1 & chan2) for basis in bases))
+    dark = rng.binomial(rng.binomial(trial.n_pulses - n_emit, p_dc), c_dt)
+    pairs = (p_x * p_x, (1.0 - p_x) ** 2, 2.0 * p_x * (1.0 - p_x))  # XX, ZZ, mismatched
+    split = rng.multinomial(dark, [p / 2.0 for p in pairs] * 2).reshape(2, 3)
+    tallies += (dark, split[0].sum(), *split.sum(axis=0)[:2], *split[0, :2], 0, 0)
     return SampledSession(trial.n_pulses, *(int(t) for t in tallies))
 
 

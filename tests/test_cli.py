@@ -43,9 +43,9 @@ def kernel_qber(distance_km, p_mis):
     return p_e / p_c
 
 
-def no_such_file(path):
-    """The OSError text of opening a missing path."""
-    return f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {path!r}"
+def os_error_text(code, path):
+    """The text of the OSError with errno code that opening path raises."""
+    return f"[Errno {code}] {os.strerror(code)}: {path!r}"
 
 
 def write(path, text):
@@ -413,7 +413,7 @@ class TestFitQberCommand:
         data = str(tmp_path / "missing.csv")
         assert main(["fit-qber", "--data", data, "--out", "-"]) == 1
         assert capsys.readouterr().err == (f"config error: cannot read QBER data {data!r}: "
-                                           f"{no_such_file(data)}\n")
+                                           f"{os_error_text(errno.ENOENT, data)}\n")
 
     @pytest.mark.parametrize("text, message", [
         ("", ": empty file, expected header distance_km,qber"),
@@ -516,29 +516,37 @@ class TestRuntimeFailure:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(out) in err
 
+    # each --out fails with the error that opening it for writing raises
     @pytest.mark.parametrize("command", ["finite", "oracle"])
+    @pytest.mark.parametrize("parts, code", [
+        pytest.param(("missing", "x.csv"), errno.ENOENT, id="in-missing-dir"),
+        pytest.param(("file", "x.csv"), errno.ENOTDIR, id="in-file"),
+    ])
     def test_unwritable_output_fails_before_the_command_runs(self, tmp_path, capsys,
-                                                             monkeypatch, command):
+                                                             monkeypatch, command, parts, code):
         def handler(cfg, args):
             raise AssertionError("the command ran")
 
         monkeypatch.setitem(cli._COMMANDS, command, ("", handler))
-        out = tmp_path / "missing" / "x.csv"
-        assert main([command, "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: {no_such_file(str(out))}\n"
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        out = os.path.join(tmp_path, *parts)
+        assert main([command, "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: {os_error_text(code, out)}\n"
 
 
     @pytest.mark.parametrize("command", ["finite", "oracle"])
+    @pytest.mark.parametrize("parts", [pytest.param((), id="dir"),
+                                       pytest.param(("missing", ""), id="missing-dir-slash")])
     def test_directory_as_output_fails_before_the_command_runs(self, tmp_path, capsys,
-                                                                 monkeypatch, command):
+                                                                 monkeypatch, command, parts):
         # such an --out once failed only when it was opened, after the whole run
         def handler(cfg, args):
             raise AssertionError("the command ran")
 
         monkeypatch.setitem(cli._COMMANDS, command, ("", handler))
-        assert main([command, "--out", str(tmp_path)]) == 2
-        assert capsys.readouterr().err == (
-            f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(tmp_path)!r}\n")
+        out = os.path.join(tmp_path, *parts)
+        assert main([command, "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: {os_error_text(errno.EISDIR, out)}\n"
 
 
 def test_read_result_csv_skips_blank_lines(tmp_path):
@@ -556,7 +564,7 @@ class TestConfigHandling:
         cfg = str(tmp_path / "missing.ini")
         assert main(["finite", "--config", cfg, "--out", "-"]) == 1
         assert capsys.readouterr().err == (f"config error: cannot read config file {cfg!r}: "
-                                           f"{no_such_file(cfg)}\n")
+                                           f"{os_error_text(errno.ENOENT, cfg)}\n")
 
     # configparser's messages span up to three lines; each parse error is one
     # line that names the file and the line number

@@ -1,12 +1,11 @@
+import dataclasses
 import math
-import random
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from bb84rate import mc_oracle
 from bb84rate import (ChannelModel, DetectorModel, ProtocolParams, SourceModel, TrialConfig,
                       chernoff_coverage, chernoff_upper, click_error_probs, gamma_u,
                       sample_session, sampling_bound_coverage)
@@ -71,8 +70,12 @@ class TestSampleSession:
         assert abs(session.n_mp_z - expected) <= 5 * sigma
 
 
+# the reference sampler draws a session this many pulses at a time
+DENSE_CHUNK = 1 << 20
+
+
 def dense_reference_session(src, ch, det, protocol, trial):
-    """Reference sampler: draws each chunk of the same stream as one dense (10, m) block."""
+    """Reference sampler: every pulse draws ten uniforms, in a dense (10, m) block per chunk."""
     _, p1, p2 = src.photon_probs
     f, _ = _raw_click_error(_link(src, ch, det), protocol.att)
     p_c = dead_time_corrected_click(f, src.rep_rate, det.dead_time)
@@ -83,7 +86,7 @@ def dense_reference_session(src, ch, det, protocol, trial):
     tallies = np.zeros(8, dtype=np.int64)  # clicks, errors, rx_x, rx_z, m_x, m_z, mp_x, mp_z
     remaining = trial.n_pulses
     while remaining > 0:
-        m = min(remaining, mc_oracle._CHUNK)
+        m = min(remaining, DENSE_CHUNK)
         remaining -= m
         u = rng.random((10, m))
         n_emit = (u[0] < p1 + p2).astype(np.int8) + (u[0] < p2)
@@ -108,65 +111,70 @@ def dense_reference_session(src, ch, det, protocol, trial):
     return SampledSession(trial.n_pulses, *(int(t) for t in tallies))
 
 
-def random_session_inputs(rnd: random.Random, chunk: int):
-    """Models and a trial drawn across the sampler's regimes, small enough to run fast."""
-    mu = 0.0 if rnd.random() < 0.1 else 10.0 ** rnd.uniform(-2.0, math.log10(0.9))
-    g2 = rnd.choice((0.0, 1.0, rnd.random()))
-    src = SourceModel(mu, g2, 10.0 ** rnd.uniform(6.0, 9.0))
-    det = DetectorModel(det_efficiency=rnd.uniform(0.05, 1.0),
-                        dark_count_prob=rnd.choice(
-                            (0.0, 10.0 ** rnd.uniform(-7.0, math.log10(0.2)))),
-                        dead_time=rnd.choice((0.0, 10.0 ** rnd.uniform(-9.0, -6.0))),
-                        misalignment=rnd.choice((0.0, rnd.uniform(0.0, 0.5))))
-    protocol = ProtocolParams(p_x=rnd.uniform(0.5, 1.0),
-                              att=rnd.choice((1.0, rnd.uniform(0.05, 1.0))))
-    n_pulses = rnd.choice((1, 7, 2 * chunk, rnd.randrange(1, 3) * chunk + rnd.randrange(1, chunk)))
-    # low losses are drawn more often, so that most sessions click
-    return src, ChannelModel(35.0 * rnd.random() ** 2), det, protocol, \
-        TrialConfig(rnd.randrange(2**32), n_pulses)
+# (source, channel, detector, protocol): heavy dark counts on bright pulses,
+# where a dark-only click on an emitting pulse is common; g2 = 1 with att < 1
+# and p_x != 0.5; a dead time (R*tau = 10) that keeps about one click in three
+LAW_CONFIGS = {
+    "heavy_dark": (SourceModel(0.9, 0.3, 1e8), ChannelModel(10.0),
+                   DetectorModel(0.3, 0.2, misalignment=0.02), ProtocolParams(p_x=0.5)),
+    "g2_one_att": (SourceModel(0.8, 1.0, 1e8), ChannelModel(3.0),
+                   DetectorModel(0.8, 1e-3, misalignment=0.05), ProtocolParams(p_x=0.7, att=0.6)),
+    "dead_time": (SourceModel(0.5, 0.5, 1e9), ChannelModel(0.0),
+                  DetectorModel(0.9, 0.05, dead_time=1e-8, misalignment=0.1),
+                  ProtocolParams(p_x=0.9, att=0.8)),
+}
+LAW_SESSIONS, LAW_PULSES = 1000, 4000
 
 
-class TestSparseSampler:
-    # the jump cut-off at its value, forced to always draw, forced to always
-    # jump; then every row drawn, in blocks of one value and of sizes that
-    # leave a chunk's last block partly filled (4096 = 585*7 + 1 = 4*1000 + 96).
-    # The default block is larger than the 4096-pulse chunk.
-    @pytest.mark.parametrize("jump_fraction,block,draws", [
-        (None, None, 300), (0.0, None, 100), (math.inf, None, 100),
-        (0.0, 1, 8), (0.0, 7, 40), (0.0, 1000, 100),
-    ])
-    def test_matches_the_dense_sampler(self, monkeypatch, jump_fraction, block, draws):
-        monkeypatch.setattr(mc_oracle, "_CHUNK", 4096)
-        if jump_fraction is not None:
-            monkeypatch.setattr(mc_oracle, "_JUMP_FRACTION", jump_fraction)
-        if block is not None:
-            monkeypatch.setattr(mc_oracle, "_BLOCK", block)
-        rnd = random.Random(f"sparse-sampler:{jump_fraction}:{block}")
-        for _ in range(draws):
-            inputs = random_session_inputs(rnd, mc_oracle._CHUNK)
-            assert sample_session(*inputs) == dense_reference_session(*inputs), inputs
+class TestSamplerLaw:
+    # Each sampler runs LAW_SESSIONS seeded sessions per config, on disjoint
+    # seeds, and each of the 8 tallies' means is compared by the two-sample z
+    # statistic. A law-abiding sampler passes |z| <= 4 with probability
+    # 1 - 6.3e-5 per comparison (normal approximation), so a false alarm
+    # anywhere among the 3 configs x 8 tallies has probability at most
+    # 24 * 6.3e-5 = 1.5e-3 (Bonferroni).
+    @pytest.mark.parametrize("config", sorted(LAW_CONFIGS))
+    def test_tally_means_match_the_dense_sampler(self, config):
+        models = LAW_CONFIGS[config]
 
-    def test_default_chunk_matches_the_dense_sampler(self, source, detector):
-        # two full-size chunks and a partial one, at the baseline source
-        inputs = (source, ChannelModel(3.0), detector, ProtocolParams(p_x=0.8, att=0.7),
-                  TrialConfig(2024, 2 * mc_oracle._CHUNK + 12345))
-        assert sample_session(*inputs) == dense_reference_session(*inputs)
+        def tallies(sampler, seeds):
+            sessions = (sampler(*models, TrialConfig(seed, LAW_PULSES)) for seed in seeds)
+            return np.array([dataclasses.astuple(s)[1:] for s in sessions], dtype=float)
 
+        event = tallies(sample_session, range(LAW_SESSIONS))
+        dense = tallies(dense_reference_session, range(LAW_SESSIONS, 2 * LAW_SESSIONS))
+        diff = event.mean(axis=0) - dense.mean(axis=0)
+        se = np.sqrt((event.var(axis=0, ddof=1) + dense.var(axis=0, ddof=1)) / LAW_SESSIONS)
+        assert np.all(np.abs(diff) <= 4.0 * se), (diff, se)
+
+
+def traced_peak(inputs):
+    """The peak traced allocation of one session, after a first session loads
+    what numpy loads lazily."""
+    sample_session(*inputs[:4], TrialConfig(1, 1000))
+    tracemalloc.start()
+    try:
+        sample_session(*inputs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSessionMemory:
     def test_a_session_holds_no_chunk_sized_row(self, source, detector):
-        # at 0 dB rows 0, 3 and 5-9 are drawn, not jumped through; a
-        # chunk-sized float64 row is 8 MiB, and the draws' buffer and all the
-        # sampler keeps stay under half of it. A first session loads what
-        # numpy loads lazily.
+        # a float64 row over all 2,109,497 pulses would take 16 MiB; the
+        # sampler draws rows over emitting pulses only (about 30,000 at 0 dB)
+        # and keeps under a quarter of that
         inputs = (source, ChannelModel(0.0), detector, _protocol(),
-                  TrialConfig(2024, 2 * mc_oracle._CHUNK + 12345))
-        sample_session(*inputs[:4], TrialConfig(1, 1000))
-        tracemalloc.start()
-        try:
-            sample_session(*inputs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2**20
+                  TrialConfig(2024, 2_109_497))
+        assert traced_peak(inputs) < 4 * 2**20
+
+    def test_a_long_session_draws_its_emitters_in_batches(self, source, detector):
+        # about 426,000 of 3e7 pulses emit at 0 dB, seven batches; drawn in
+        # one batch, their rows and flags would peak near 9 MiB
+        inputs = (source, ChannelModel(0.0), detector, _protocol(),
+                  TrialConfig(2025, 30_000_000))
+        assert traced_peak(inputs) < 4 * 2**20
 
 
 class TestChernoffCoverage:
