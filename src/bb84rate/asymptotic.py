@@ -33,6 +33,10 @@ F_EC_TABLE: tuple[tuple[float, float], ...] = (
     (0.15, 1.35),
 )
 
+# f_ec's segments of F_EC_TABLE: (x0, y0, x1, y1 - y0, x1 - x0)
+_F_EC_SEGMENTS = tuple((x0, y0, x1, y1 - y0, x1 - x0)
+                       for (x0, y0), (x1, y1) in zip(F_EC_TABLE, F_EC_TABLE[1:]))
+
 
 @dataclass(frozen=True)
 class AsymptoticResult:
@@ -77,9 +81,9 @@ def f_ec(e: float) -> float:
     """
     if not 0.0 <= e <= 0.5:
         raise ValueError(f"qber must be in [0, 0.5], got {e}")
-    for (x0, y0), (x1, y1) in zip(F_EC_TABLE, F_EC_TABLE[1:]):
+    for x0, y0, x1, dy, dx in _F_EC_SEGMENTS:
         if e <= x1:
-            return y0 + (y1 - y0) * (e - x0) / (x1 - x0)
+            return y0 + dy * (e - x0) / dx
     return F_EC_TABLE[-1][1]
 
 

@@ -78,8 +78,20 @@ def _write_text(path: str, text: str) -> None:
             fh.write(text)
 
 
+def _json_value(value):
+    """value with every non-finite float as None: RFC 8259 JSON has no NaN or Infinity."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _json_value(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_value(item) for item in value]
+    return value
+
+
 def _write_json(path: str, payload: dict) -> None:
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(_json_value(payload), indent=2, sort_keys=True, allow_nan=False)
+    _write_text(path, text + "\n")
 
 
 def _emit_table(path: str, fmt: str, resolved: dict, header: Sequence[str],

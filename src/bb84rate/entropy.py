@@ -19,6 +19,11 @@ def binary_entropy(x: float) -> float:
     """
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"entropy argument must be in [0, 1], got {x}")
+    return _h(x)
+
+
+def _h(x: float) -> float:
+    """binary_entropy, unchecked: for an argument the caller knows lies in [0, 1]."""
     if x == 0.0 or x == 1.0:
         return 0.0
     return -(x * math.log2(x) + (1.0 - x) * math.log1p(-x) / _LN2)

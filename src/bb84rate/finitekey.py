@@ -11,22 +11,29 @@ f_EC * n * H(e) cost.
 The public functions check their inputs and run on unchecked float cores
 that take what they need of SecurityParams as _Constants, derived once
 per SecurityParams: SessionCounts.from_probs on _tallies, chernoff_upper
-on _chernoff, finite_key_length on _estimates and _ell, lambda_ec on
-_lambda_ec and inverse_binomial_cdf on _AnchoredQuantile. The
-optimizer's grid points call the cores directly, so a point builds no
-SessionCounts or FiniteKeyResult; the same operations in the same order
-give the same bits on either path.
+on _chernoff, gamma_u on _gamma_u, finite_key_length on _estimates,
+_secret and _ell, lambda_ec on _leak_constants and _lambda_ec, and
+inverse_binomial_cdf on _AnchoredQuantile. The optimizer's grid points
+call the cores directly, with lambda_ec's constants derived once per
+grid column, so a point builds no SessionCounts or FiniteKeyResult; the
+same operations in the same order give the same bits on either path.
 
 F^-1 is a walk on the binomial CDF that is exact from any start, and
-_AnchoredQuantile is its one checked entry point: its first call starts
-the walk from scipy's continuous inverse, bdtrik, and later calls start
-from that anchor. inverse_binomial_cdf is a fresh _AnchoredQuantile's
-first call; a grid column, whose points share eps_cor and e_x, keeps one
-_AnchoredQuantile and so calls bdtrik once.
+_AnchoredQuantile is its one checked entry point. Its first call calls
+bdtrik once, scipy's continuous inverse, as the anchor of every later
+start. It then settles a batch of block sizes given up front with one
+bdtr call on their starts and one on the next counts: where the two CDFs
+bracket eps the start is the answer, which a memo keeps. Any other block
+size is walked from its start when asked, and memoized. inverse_binomial_cdf is a fresh
+_AnchoredQuantile's first call; a grid column, whose points share
+eps_cor and e_x, keeps one _AnchoredQuantile for the block sizes of its
+points still to rate, and so makes one bdtrik call and one bdtr pair for
+all of them.
 
 scipy.special, for the binomial CDF and its inverse, is imported inside
-_AnchoredQuantile, once per call, and passed on to _binomial_quantile, so
-a command that computes no finite key never loads scipy.
+_AnchoredQuantile, once per instance, and passed on to
+_binomial_quantile, so a command that computes no finite key never loads
+scipy.
 """
 from __future__ import annotations
 
@@ -37,7 +44,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .asymptotic import f_ec
-from .entropy import binary_entropy
+from .entropy import _h
 from .models import ChannelModel, DetectorModel, ProtocolParams, SourceModel, click_error_probs
 
 __all__ = [
@@ -60,6 +67,7 @@ class _Constants(NamedTuple):
     eps_gamma: float  # eps_sec/6: the failure probability of gamma_u
     pa_bits: float    # 2*log2(1/(2*eps_pa)): privacy amplification's cost in ell
     cor_bits: float   # log2(2/eps_cor): verification's cost in ell
+    cost_bits: float  # pa_bits + cor_bits: both costs, for the optimizer's bounds on ell
 
 
 @dataclass(frozen=True)
@@ -111,9 +119,10 @@ class SecurityParams:
     @functools.cached_property
     def _constants(self) -> _Constants:
         """The bounds' _Constants, derived on first use: the fields are frozen."""
-        return _Constants(-math.log(self.eps_pe), self.eps_sec / 6.0,
-                          2.0 * math.log2(1.0 / (2.0 * self.eps_pa)),
-                          math.log2(2.0 / self.eps_cor))
+        pa_bits = 2.0 * math.log2(1.0 / (2.0 * self.eps_pa))
+        cor_bits = math.log2(2.0 / self.eps_cor)
+        return _Constants(-math.log(self.eps_pe), self.eps_sec / 6.0, pa_bits, cor_bits,
+                          pa_bits + cor_bits)
 
 
 @dataclass(frozen=True)
@@ -265,7 +274,11 @@ def gamma_u(n: float, k: float, observed_rate: float, eps: float) -> float:
         raise ValueError(f"observed_rate must be in (0, 0.5), got {observed_rate}")
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
-    lam = observed_rate
+    return _gamma_u(n, k, observed_rate, eps)
+
+
+def _gamma_u(n: float, k: float, lam: float, eps: float) -> float:
+    """gamma_u at observed rate lam, unchecked but for the regime of its log argument."""
     big = max(n, k)
     den = 2.0 * math.pi * n * k * lam * (1.0 - lam) * eps**2
     log_arg = (n + k) / den if den >= sys.float_info.min else math.inf
@@ -352,21 +365,32 @@ def _binomial_quantile(_sp, eps: float, n: int, q: float, start: float) -> int:
 class _AnchoredQuantile:
     """Checked F^-1 for a run of calls that share eps and q, with one bdtrik call.
 
-    The first call starts the walk from bdtrik and keeps its n0 and
-    continuous quantile y0 as the anchor; inverse_binomial_cdf is such a
-    first call. A later call at n starts from the anchor moved by the
-    normal approximation's shift of the quantile,
+    The first call takes bdtrik at its n and keeps that n0 and continuous
+    quantile y0 as the anchor; inverse_binomial_cdf is such a first call.
+    The walk at any n starts from the anchor moved by the normal
+    approximation's shift of the quantile,
 
-        y0 + (n - n0)*q - z*(sqrt(n*q*(1-q)) - sqrt(n0*q*(1-q))),  z = -Phi^-1(eps).
+        y0 + (n - n0)*q - z*(sqrt(n*q*(1-q)) - sqrt(n0*q*(1-q))),  z = -Phi^-1(eps),
 
-    The walk returns the same m from any start, so only the number of CDF
-    evaluations depends on the anchor. Every call checks its arguments, as
-    inverse_binomial_cdf documents them.
+    which truncates to the same count as y0 at n0. The first call also
+    settles its own n and the block sizes of batch with one bdtr call on
+    their starts m and one on m + 1, and keeps m in a memo where
+    CDF(m) <= eps < CDF(m + 1): that is the walk's stop after its first two
+    CDF evaluations. A block size the pair leaves open is walked from its
+    start when asked, and the memo keeps that answer too: a non-finite
+    start or one >= n, n >= 2**31 (where bdtr gives NaN and the CDF is
+    betainc), n outside [1, 10**13], or two CDFs that do not bracket eps,
+    as from a start one above the answer. The walk returns the same m
+    from any start, so only the number of CDF evaluations depends on the
+    anchor and the memo. Every call checks its arguments, as
+    inverse_binomial_cdf documents them, before it reads the memo.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, batch: tuple[int, ...] = ()) -> None:
+        self.batch = batch
         # (n0, y0, z, q*(1-q), sqrt(n0*q*(1-q))), set by the first call
         self.anchor: tuple[int, float, float, float, float] | None = None
+        self.memo: dict[int, int] = {}  # n -> F^-1 at the run's eps and q
 
     def __call__(self, eps: float, n: int, q: float) -> int:
         if not 0.0 < eps < 1.0:
@@ -375,17 +399,37 @@ class _AnchoredQuantile:
             raise ValueError(f"n must satisfy 1 <= n <= 10**13, got {n}")
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"q must be in [0, 1], got {q}")
-        # imported here, not at module level, so that only finite-key commands load scipy
-        import scipy.special as _sp
-
         if self.anchor is None:
-            start = float(_sp.bdtrik(eps, n, q))
+            # imported here, not at module level, so that only finite-key commands load scipy
+            import scipy.special
+            self.sp = scipy.special
             var = q * (1.0 - q)
-            self.anchor = (n, start, -float(_sp.ndtri(eps)), var, math.sqrt(n * var))
-        else:
-            n0, y0, z, var, sd0 = self.anchor
-            start = y0 + (n - n0) * q - z * (math.sqrt(n * var) - sd0)
-        return _binomial_quantile(_sp, eps, n, q, start)
+            self.anchor = (n, float(self.sp.bdtrik(eps, n, q)), -float(self.sp.ndtri(eps)), var,
+                           math.sqrt(n * var))
+            self._settle(eps, q, (n, *self.batch))
+        m = self.memo.get(n)
+        if m is None:
+            m = self.memo[n] = _binomial_quantile(self.sp, eps, n, q, self._starts((n,), q)[0])
+        return m
+
+    def _starts(self, ns: tuple[int, ...], q: float) -> list[float]:
+        """The walk's start at each n of ns, from the anchor."""
+        n0, y0, z, var, sd0 = self.anchor
+        return [y0 + (n - n0) * q - z * (math.sqrt(n * var) - sd0) for n in ns]
+
+    def _settle(self, eps: float, q: float, ns: tuple[int, ...]) -> None:
+        """Memo F^-1 at each n of ns whose start's two CDFs bracket eps, with one bdtr pair."""
+        # (n, m): a block size below 2**31 with a finite start below n, truncated and
+        # clamped at 0 as the walk clamps it
+        walks = [(n, max(0, int(start))) for n, start in zip(ns, self._starts(ns, q))
+                 if 1 <= n < 2**31 and math.isfinite(start) and start < n]
+        if walks:
+            sizes = [n for n, _ in walks]
+            below = self.sp.bdtr([float(m) for _, m in walks], sizes, q).tolist()
+            above = self.sp.bdtr([float(m + 1) for _, m in walks], sizes, q).tolist()
+            for (n, m), cdf, next_cdf in zip(walks, below, above):
+                if cdf <= eps < next_cdf:
+                    self.memo[n] = m
 
 
 def lambda_ec(n_x: float, e_x: float, eps_cor: float, f_ec_value: float) -> float:
@@ -403,29 +447,49 @@ def lambda_ec(n_x: float, e_x: float, eps_cor: float, f_ec_value: float) -> floa
     Raises:
         ValueError: if n_x < 1 or e_x is outside [0, 0.5).
     """
-    return _lambda_ec(n_x, e_x, eps_cor, f_ec_value, inverse_binomial_cdf)
-
-
-def _lambda_ec(n_x: float, e_x: float, eps_cor: float, f_ec_value: float,
-               quantile: Callable[[float, int, float], int]) -> float:
-    """lambda_ec with F^-1 from quantile(eps, n, q): inverse_binomial_cdf or an _AnchoredQuantile.
-
-    Both give the same F^-1, so the same bits: the checks and the float
-    rule of the leak are this function's alone.
-    """
     if n_x < 1.0:
         raise ValueError(f"n_x must be >= 1, got {n_x}")
+    return _lambda_ec(n_x, _leak_constants(e_x, eps_cor, f_ec_value), inverse_binomial_cdf)
+
+
+class _LeakConstants(NamedTuple):
+    """What lambda_ec takes of (e_x, eps_cor, f_EC), derived once per grid column."""
+
+    e_x: float
+    eps_cor: float
+    fec: float
+    h: float         # H(e_x)
+    q: float         # 1 - e_x: F^-1's success probability
+    log_odds: float  # log2((1 - e_x)/e_x); 0 at e_x = 0, where nothing leaks
+    cor_log: float   # log2(1/eps_cor)
+
+
+def _leak_constants(e_x: float, eps_cor: float, f_ec_value: float) -> _LeakConstants:
+    """lambda_ec's _LeakConstants, with its check of e_x."""
     if not 0.0 <= e_x < 0.5:
         raise ValueError(f"e_x must be in [0, 0.5), got {e_x}")
-    if e_x == 0.0:
+    log_odds = math.log2((1.0 - e_x) / e_x) if e_x > 0.0 else 0.0
+    # an eps_cor outside (0, 1) is F^-1's error, raised before cor_log is read
+    cor_log = math.log2(1.0 / eps_cor) if 0.0 < eps_cor < 1.0 else math.nan
+    return _LeakConstants(e_x, eps_cor, f_ec_value, _h(e_x), 1.0 - e_x, log_odds, cor_log)
+
+
+def _lambda_ec(n_x: float, leak: _LeakConstants,
+               quantile: Callable[[float, int, float], int]) -> float:
+    """lambda_ec at n_x >= 1, with F^-1 from quantile(eps, n, q), unchecked.
+
+    quantile is inverse_binomial_cdf or an _AnchoredQuantile; both give the
+    same F^-1, so the same bits: the float rule of the leak is this
+    function's alone.
+    """
+    if leak.e_x == 0.0:
         return 0.0
-    h = binary_entropy(e_x)
-    practical = f_ec_value * n_x * h
-    f_inv = quantile(eps_cor, round(n_x), 1.0 - e_x)
-    info = (n_x * h
-            + (n_x * (1.0 - e_x) - f_inv) * math.log2((1.0 - e_x) / e_x)
+    practical = leak.fec * n_x * leak.h
+    f_inv = quantile(leak.eps_cor, round(n_x), leak.q)
+    info = (n_x * leak.h
+            + (n_x * leak.q - f_inv) * leak.log_odds
             - 0.5 * math.log2(n_x)
-            - math.log2(1.0 / eps_cor))
+            - leak.cor_log)
     return max(info, practical)
 
 
@@ -446,7 +510,7 @@ def finite_key_length(counts: SessionCounts, sec: SecurityParams,
     ell, leak = 0, 0.0
     if phi_upper < 0.5:
         leak = lambda_ec(counts.n_rx_x, e_x_for_ec, sec.eps_cor, f_ec(e_x_for_ec))
-        ell = _ell(n_nmp_x, phi_upper, leak, consts)
+        ell = _ell(_secret(n_nmp_x, phi_upper), leak, consts)
     rate = ell / counts.n_sent if counts.n_sent > 0 else 0.0
     return FiniteKeyResult(
         ell=ell, rate=rate, counts=counts,
@@ -484,13 +548,18 @@ def _estimates(tallies: tuple[float, float, float, float, float],
         phi = m_z / n_nmp_z
         lam = phi if phi > 0.0 else 0.5 / n_nmp_z
         if lam < 0.5:
-            phi_upper = min(0.5, phi + gamma_u(n_rx_x, n_rx_z, lam, consts.eps_gamma))
+            phi_upper = min(0.5, phi + _gamma_u(n_rx_x, n_rx_z, lam, consts.eps_gamma))
     return mp_upper_x, mp_upper_z, n_nmp_x, n_nmp_z, phi, phi_upper
 
 
-def _ell(n_nmp_x: float, phi_upper: float, leak: float, consts: _Constants) -> int:
-    """The key length, floored and clamped at zero, for a phase-error bound below 1/2."""
-    raw = (n_nmp_x * (1.0 - binary_entropy(phi_upper))
+def _secret(n_nmp_x: float, phi_upper: float) -> float:
+    """The first term of ell, n_nmp_x*(1 - H(phi_upper)), for a phase-error bound below 1/2."""
+    return n_nmp_x * (1.0 - _h(phi_upper))
+
+
+def _ell(secret: float, leak: float, consts: _Constants) -> int:
+    """The key length from its first term _secret, floored and clamped at zero."""
+    raw = (secret
            - leak
            - consts.pa_bits
            - consts.cor_bits)

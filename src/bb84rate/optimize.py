@@ -8,10 +8,11 @@ of both ranges at rate zero, so only a positive point replaces it, and a
 search whose every rate is zero shrinks its windows around that corner and
 returns it.
 
-The search walks one att column at a time. A column derives once what
-its points share and rates each point on plain floats, with the float
-cores of asymptotic_rate or finite_key_length and the same operations,
-so bit for bit. No grid point builds a result: optimize_point builds the
+The search walks one att column at a time. The columns of a walk share
+its link (models._link), derived once. A column derives once what its
+points share and rates each point on plain floats, with the float cores
+of asymptotic_rate or finite_key_length and the same operations, so bit
+for bit. No grid point builds a result: optimize_point builds the
 winner's AsymptoticResult or FiniteKeyResult once, with the public
 function.
 
@@ -31,10 +32,17 @@ upper bound on the key length:
   on the estimates its key length uses, cannot beat the incumbent stops
   there, before the F^-1 of lambda_ec.
 A skipped point could never have become the incumbent, so the result is
-that of evaluating every grid point. The points of a column that reach
-F^-1 share eps_cor and e_x, so they share one bdtrik call: the first
-anchors the start of every later walk on the CDF, which is exact from
-any start.
+that of evaluating every grid point. A finite round builds all its
+columns first and visits them best first, in descending order of
+(ell_bound at the round's top p_x, att), so that the first incumbents
+are high and the cuts prune more. The order cannot change what a round
+finds: its lexicographic maximum, and with it the next round's windows,
+is the same in any visit order, and a probe only asks whether any point
+is positive. Asymptotic columns keep the grid order. The points of a
+column that reach F^-1 share eps_cor and e_x, so they share one bdtrik
+call, whose result anchors the start of every walk on the CDF, exact
+from any start, and one bdtr pair, which settles the start of every
+point still to rate where it is already the answer.
 
 optimize_point and the loss-boundary search consume the same walk, which
 yields the tie-break corner and then each better point. The loss search
@@ -48,9 +56,10 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .asymptotic import AsymptoticResult, _gllp_factors, _rate_per_pulse, asymptotic_rate, f_ec
-from .entropy import binary_entropy
+from .entropy import _h
 from .finitekey import (FiniteKeyResult, SecurityParams, SessionCounts, _AnchoredQuantile,
-                        _chernoff, _ell, _estimates, _lambda_ec, _tallies, finite_key_length)
+                        _chernoff, _ell, _estimates, _lambda_ec, _leak_constants, _LeakConstants,
+                        _secret, _tallies, finite_key_length)
 from .models import (ChannelModel, DetectorModel, ProtocolParams, SourceModel, _click_error, _Link,
                      _link, _sift_ratio, click_error_probs)
 
@@ -170,25 +179,44 @@ class _FiniteColumn:
     """One att column in finite mode.
 
     Click, error and multiphoton probabilities depend only on the
-    attenuation, so every p_x of the column shares them.
+    attenuation, so every p_x of the column shares them. lambda_ec's
+    constants (f_EC and H(e) among them), which the interval and
+    practical-leak bounds read too, and the column's F^-1 are derived on
+    first use, so a column whose bracket proves every key length zero
+    never derives them.
     """
 
-    def __init__(self, src: SourceModel, ch: ChannelModel, det: DetectorModel, att: float,
-                 sec: SecurityParams, n_sent: float | None, n_received: float | None) -> None:
-        self.sec, self.att = sec, att
-        self.p_c, self.p_e = click_error_probs(src, ch, det, att)
+    def __init__(self, src: SourceModel, ch: ChannelModel, det: DetectorModel, link: _Link,
+                 att: float, sec: SecurityParams, n_sent: float | None,
+                 n_received: float | None) -> None:
+        self.src, self.ch, self.det, self.att, self.sec = src, ch, det, att, sec
+        self.constants = sec._constants
+        self.p_c, self.p_e = _click_error(link, att)
+        self.pending: list[float] = []  # the p_xs left by candidates(), ascending
+        self.quantile: _AnchoredQuantile | None = None  # set by the first F^-1
+        self._leak: _LeakConstants | None = None
         if self.p_c > 0.0:
             self.n_sent = n_sent if n_sent is not None else n_received / self.p_c
             self.p_m = src.attenuated_multiphoton_prob(att)
             # e = p_e/p_c and the asymptotic bracket A*(1 - H(e/A)) - f_EC(e)*H(e), 0 when A = 0
             _, self.e_x, self.bracket = _gllp_factors(self.p_c, self.p_e, self.p_m)
-            self.fec = f_ec(self.e_x)
-            # what every point's key length takes of sec and e_x, derived once
-            self.constants = sec._constants
-            self.h_e = binary_entropy(self.e_x)
-            self.cost_bits = self.constants.pa_bits + self.constants.cor_bits
-            # F^-1 of lambda_ec, at the column's eps_cor and 1 - e_x, from one bdtrik anchor
-            self.quantile = _AnchoredQuantile()
+
+    @property
+    def leak(self) -> _LeakConstants:
+        """lambda_ec's constants at the column's e_x and eps_cor, derived on first use."""
+        if self._leak is None:
+            self._leak = _leak_constants(self.e_x, self.sec.eps_cor, f_ec(self.e_x))
+        return self._leak
+
+    def rank(self, top: float) -> tuple[float, float]:
+        """The column's place in the visit order, highest first: (ell_bound(top), att).
+
+        A column that keeps no point (no clicks, or a bracket <= 0) ranks
+        last, below every ell_bound, which is >= 0.
+        """
+        if self.p_c > 0.0 and self.bracket > 0.0:
+            return self.ell_bound(top), self.att
+        return -1.0, self.att
 
     def evaluate(self, p_x: float, to_beat: tuple[float, float, float] | None = None,
                  ) -> float | None:
@@ -200,11 +228,13 @@ class _FiniteColumn:
         of that cost and the information term, so its leak is never
         smaller, and the key length falls as the leak grows, in floating
         point too, where each subtraction rounds monotonically. A point
-        that passes it gets lambda_ec on the same estimates, with F^-1
-        walked from the column's anchor, which gives the same F^-1 as
-        inverse_binomial_cdf and raises its errors. The walk passes only
-        the points of candidates(), the cheaper bracket and interval cuts,
-        to this bound.
+        that passes it gets lambda_ec on the same estimates and the same
+        first term of ell, with F^-1 from the column's _AnchoredQuantile,
+        which gives the same F^-1 as inverse_binomial_cdf and raises its
+        errors. The column's first F^-1 builds it for the block sizes of
+        the candidates left after this point, so one bdtrik call and one
+        bdtr pair serve them all. The walk passes only the points of
+        candidates(), the cheaper bracket and interval cuts, to this bound.
 
         The tallies, estimates and key length are those of result(), with
         the same operations, so the same bits, but with the column's
@@ -219,22 +249,27 @@ class _FiniteColumn:
         _, _, n_nmp_x, _, _, phi_upper = _estimates(tallies, self.constants)
         ell = 0
         if phi_upper < 0.5:  # tallies[0] is n_rx_x
-            bound = _ell(n_nmp_x, phi_upper, self.fec * tallies[0] * self.h_e, self.constants)
+            secret, leak = _secret(n_nmp_x, phi_upper), self.leak
+            bound = _ell(secret, leak.fec * tallies[0] * leak.h, self.constants)
             if to_beat is not None and not self._beats(bound, p_x, to_beat):
                 return None
-            leak = _lambda_ec(tallies[0], self.e_x, self.sec.eps_cor, self.fec, self.quantile)
-            ell = _ell(n_nmp_x, phi_upper, leak, self.constants)
+            if self.quantile is None:  # the column's first F^-1; the batch is the n_rx_x after it
+                self.quantile = _AnchoredQuantile(tuple(
+                    round(_tallies(self.n_sent, later, self.p_c, self.p_e, self.p_m)[0])
+                    for later in self.pending if later > p_x))
+            ell = _ell(secret, _lambda_ec(tallies[0], leak, self.quantile), self.constants)
         # the rate rule of FiniteKeyResult
         return ell / self.n_sent if self.n_sent > 0 else 0.0
 
     def result(self, p_x: float) -> tuple[float, FiniteKeyResult | None]:
-        """The point's (rate, FiniteKeyResult), from one finite_key_length call.
+        """The point's (rate, FiniteKeyResult), from click_error_probs and finite_key_length.
 
         A column that never clicks has rate 0 and no result.
         """
         if self.p_c <= 0.0:
             return 0.0, None
-        counts = SessionCounts.from_probs(self.n_sent, p_x, self.p_c, self.p_e, self.p_m)
+        p_c, p_e = click_error_probs(self.src, self.ch, self.det, self.att)
+        counts = SessionCounts.from_probs(self.n_sent, p_x, p_c, p_e, self.p_m)
         res = finite_key_length(counts, self.sec, self.e_x)
         return res.rate, res
 
@@ -257,7 +292,7 @@ class _FiniteColumn:
         the few roundings in each term of ell.
         """
         scale = self.n_sent * p_x * p_x * self.p_c
-        return max(0.0, scale * (self.bracket + _BOUND_SLACK) - self.cost_bits)
+        return max(0.0, scale * (self.bracket + _BOUND_SLACK) - self.constants.cost_bits)
 
     def interval_bound(self, a: float, b: float) -> float:
         """Upper bound on the practical-leak key length at every p_x in [a, b].
@@ -296,8 +331,9 @@ class _FiniteColumn:
         beta = self.constants.beta
         n_nmp_z = n_rx_z - _chernoff(n_mp_star_z, beta)
         phi = min(0.5, m_z / n_nmp_z) if n_nmp_z > 0.0 else 0.5
-        raw = ((n_rx_x - _chernoff(n_mp_star_x, beta)) * (1.0 - binary_entropy(phi))
-               - self.fec * n_rx_x_a * self.h_e - self.cost_bits)
+        leak = self.leak
+        raw = ((n_rx_x - _chernoff(n_mp_star_x, beta)) * (1.0 - _h(phi))
+               - leak.fec * n_rx_x_a * leak.h - self.constants.cost_bits)
         return max(0.0, raw + _BOUND_SLACK * n_rx_x)
 
     def _beats(self, ell_bound: float, p_x: float, to_beat: tuple[float, float, float]) -> bool:
@@ -325,14 +361,16 @@ class _FiniteColumn:
         prune every point of the suffix against to_beat, and against every
         later incumbent, which is larger. A point of rate 0, which
         evaluate() returns without the bound, beats no incumbent: the first
-        is the rate-0 top corner.
+        is the rate-0 top corner. The suffix kept is also the column's
+        pending list, whose block sizes its first F^-1 settles.
         """
         if self.p_c > 0.0 and self.bracket > 0.0:
             for i, p_x in enumerate(p_xs):
                 if self._beats(self.ell_bound(p_x), p_x, to_beat):
                     top = p_xs[-1]
-                    return p_xs[i:] if self._beats(self.interval_bound(p_x, top), top,
-                                                   to_beat) else []
+                    self.pending = (p_xs[i:] if self._beats(self.interval_bound(p_x, top), top,
+                                                            to_beat) else [])
+                    return self.pending
         return []
 
 
@@ -342,7 +380,7 @@ def _column_maker(
 ) -> Callable[[float], _AsymptoticColumn | _FiniteColumn]:
     """Check the mode's block arguments; return att -> that att's grid column.
 
-    Asymptotic columns share the operating point's link, derived here once.
+    The columns share the operating point's link, derived here once.
     """
     if mode not in ("asymptotic", "finite"):
         raise ValueError(f"mode must be 'asymptotic' or 'finite', got {mode!r}")
@@ -353,11 +391,12 @@ def _column_maker(
             # written so that NaN fails the check
             if value is not None and not 0.0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        return lambda att: _FiniteColumn(src, ch, det, att, sec, n_sent, n_received)
-    if n_sent is not None or n_received is not None:
+    elif n_sent is not None or n_received is not None:
         raise ValueError("asymptotic mode takes neither n_sent nor n_received")
     link = _link(src, ch, det)
-    return lambda att: _AsymptoticColumn(src, ch, det, link, att)
+    if mode == "asymptotic":
+        return lambda att: _AsymptoticColumn(src, ch, det, link, att)
+    return lambda att: _FiniteColumn(src, ch, det, link, att, sec, n_sent, n_received)
 
 
 def _round_grids(
@@ -394,11 +433,14 @@ def _incumbents(
     range of cfg, so one ProtocolParams at the top corner checks the p_x
     and att of every grid point, in both modes. The first yield is that
     corner at rate 0, the tie-break point: only a positive point beats it,
-    and while none has, the windows shrink around it. Each column offers
-    only its candidates(), and in finite mode a point whose practical-leak
-    bound cannot beat the incumbent in the (rate, p_x, att) tie-break is
-    skipped too (_FiniteColumn.evaluate). Every rate is a column's float
-    rate; no point builds a result. The last value yielded is the optimum.
+    and while none has, the windows shrink around it. A round builds its
+    columns first; in finite mode it visits them best first, in descending
+    _FiniteColumn.rank, and in asymptotic mode in grid order. Each column
+    offers only its candidates(), and in finite mode a point whose
+    practical-leak bound cannot beat the incumbent in the (rate, p_x, att)
+    tie-break is skipped too (_FiniteColumn.evaluate). Every rate is a
+    column's float rate; no point builds a result. The last value yielded
+    is the optimum.
     """
     p_x_range = cfg.p_x_range if fixed_p_x is None else (fixed_p_x, fixed_p_x)
     att_range = cfg.att_range if fixed_att is None else (fixed_att, fixed_att)
@@ -406,12 +448,18 @@ def _incumbents(
     best = (0.0, p_x_range[1], att_range[1])
     yield best
     for p_xs, atts in _round_grids(cfg, (p_x_range, att_range), lambda: best[1:]):
-        for att in atts:
-            column = column_at(att)
+        # a stack: pop() visits the grid order, or best first in finite mode, and drops
+        # each column, with its F^-1 memo, after its visit
+        columns = [column_at(att) for att in atts][::-1]
+        if isinstance(columns[0], _FiniteColumn):
+            top = p_xs[-1]
+            columns.sort(key=lambda column: column.rank(top))
+        while columns:
+            column = columns.pop()
             for p_x in column.candidates(p_xs, best):
                 rate = column.evaluate(p_x, best)
-                if rate is not None and (rate, p_x, att) > best:
-                    best = (rate, p_x, att)
+                if rate is not None and (rate, p_x, column.att) > best:
+                    best = (rate, p_x, column.att)
                     yield best
 
 
@@ -444,14 +492,16 @@ def optimize_point(
     every round's window and the result, FiniteKeyResult included, are
     those of evaluating every point. Exceptions can differ: an evaluation
     raises at the first point that fails, and a skipped point is never
-    evaluated. In 1,500 random draws (source, detector, eps, ranges, pins,
-    grid_resolution 2-9, refinement_rounds 0-4, n_sent or n_received
-    1e3-1e12) every result was repr-identical to that of the search
-    building the result of every point: 1,477 results; 14 draws raised the
-    same error there and here, 5 raised gamma_u's "bound out of regime" at
-    another point, with another log argument in the message, and 4 that
-    raised it there returned here. The search without the interval cut and
-    the anchored F^-1 splits the same draws the same way.
+    evaluated, and the best-first column order visits the points of a
+    round in another order than the grid. In 1,500 seeded random draws
+    (source, detector, eps, ranges, pins, loss 0-35 dB, grid_resolution
+    2-9, refinement_rounds 0-4, n_sent or n_received 1e3-1e12) every result
+    was repr-identical to that of the search building the result of every
+    point: 1,467 results; 17 draws raised the same error there and here,
+    13 raised gamma_u's "bound out of regime" at another point, with
+    another log argument in the message, and 3 that raised it there
+    returned here. The search in grid order splits the same draws
+    1,467 / 23 / 7 / 3. In 6,000 more draws no result differed either.
     """
     column_at = _column_maker(src, ch, det, mode, sec, n_sent, n_received)
     *_, (_, p_x, att) = _incumbents(column_at, cfg, fixed_p_x, fixed_att)

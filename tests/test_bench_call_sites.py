@@ -10,10 +10,12 @@ benchmark code. The other tests pin the signatures, config fields and call
 paths that bench/worker.py and bench/tracer.py use, so a signature purge
 fails here instead of in a benchmark run, and the exact call counts of the
 default finite, asymptotic and maxloss commands: the bdtrik calls (one per
-grid column that reaches an exact key length, plus one per result) and
-the bdtr calls of F^-1, the asymptotic grid points the float kernel
-rates, the one estimate pass per finite grid point and the results, which
-only optimize_point builds, one per call. Those counts are literals here:
+grid column that reaches an exact key length, plus one per result), the
+bdtr calls of F^-1 (one pair per such column or result, plus two per
+block size whose start that pair does not settle), the asymptotic grid
+points the float kernel rates, the one estimate pass per finite grid
+point and the results, which only optimize_point builds, one per call.
+Those counts are literals here:
 the reference_counts in bench/baseline.json still hold the finite count
 from before optimize_point's branch-and-bound (5,069 bdtrik calls) and
 the asymptotic count from before the float kernel (5,772 asymptotic_rate
@@ -171,20 +173,24 @@ def test_default_commands_keep_the_reference_counts(tmp_path, monkeypatch):
         per_command[command] = dict(calls)
     # a finite grid column calls bdtrik once, for the anchor of its F^-1 starts,
     # and each winner's result once more (220 and 17,139 when every exact key
-    # length called it); from a start at the answer or one above it, F^-1
-    # evaluates two CDFs
-    assert per_command["finite"] == {"bdtrik": 37, "bdtr": 440}
+    # length called it). The column's first F^-1 settles the block sizes of
+    # its points still to rate with one bdtr pair; a block size whose start is
+    # one above the answer is walked, with two CDFs. Finite was 37 bdtrik and
+    # 440 bdtr calls, two per F^-1, and maxloss 776 and 34,278, before the
+    # best-first column order and the batched pair
+    assert per_command["finite"] == {"bdtrik": 6, "bdtr": 14}
     assert per_command["asymptotic"] == {"asymptotic_kernel": 5772, "asymptotic_rate": 36}
     # the loss search's walk: a regression shows here as a count, not only as time
-    assert per_command["maxloss"] == {"bdtrik": 776, "bdtr": 34278}
+    assert per_command["maxloss"] == {"bdtrik": 660, "bdtr": 2692}
 
 
 def test_default_maxloss_builds_results_only_in_optimize_point(tmp_path, monkeypatch):
     # a grid point is rated on plain floats with one estimate pass, pruned or
     # not; only optimize_point builds a SessionCounts and FiniteKeyResult, for
     # its winner (17,139 of each were built before, one per exact key length).
-    # The interval cut ends 1,344 of the 2,803 columns that pass the bracket
-    # cut with one check each (87,443 grid points before)
+    # The walk visits each round's columns best first, by the bracket bound at
+    # their top p_x: 45,064 grid points in grid order, and 87,443 before the
+    # interval cut
     from bb84rate import cli, finitekey, optimize
     calls = collections.Counter()
     monkeypatch.setattr(finitekey.SessionCounts, "__post_init__",
@@ -202,4 +208,4 @@ def test_default_maxloss_builds_results_only_in_optimize_point(tmp_path, monkeyp
                             counting(calls, "optimize_point", module.optimize_point))
     assert cli.main(["maxloss", "--out", str(tmp_path / "maxloss.csv")]) == 0
     assert calls == {"optimize_point": 10, "SessionCounts": 10, "finite_key_length": 10,
-                     "grid_point": 45064, "_estimates": 45074}
+                     "grid_point": 36346, "_estimates": 36356}

@@ -53,17 +53,22 @@ def write(path, text):
     return str(path)
 
 
+def not_json(token):
+    raise ValueError(f"{token} is not an RFC 8259 JSON value")
+
+
 def curve_rows(tmp_path, command, cfg):
     """The header, the CSV rows and the JSON rows of one curve run.
 
     Each JSON row is re-dumped as a list in header order, so the text tells
-    0 from 0.0 and shows NaN.
+    0 from 0.0 and shows null. The JSON output must parse as RFC 8259 JSON,
+    which has no NaN, Infinity or -Infinity token.
     """
     csv_out, json_out = tmp_path / "out.csv", tmp_path / "out.json"
     assert main([command, "--config", cfg, "--out", str(csv_out)]) == 0
     assert main([command, "--config", cfg, "--out", str(json_out), "--format", "json"]) == 0
     _, header, rows = read_result_csv(str(csv_out))
-    payload = json.loads(json_out.read_text(encoding="utf-8"))
+    payload = json.loads(json_out.read_text(encoding="utf-8"), parse_constant=not_json)
     return header, rows, [json.dumps([row[c] for c in header]) for row in payload["rows"]]
 
 
@@ -138,7 +143,8 @@ class TestAsymptoticCommand:
         assert rows[1][header.index("status")] == "ok"
 
     def test_error_rows_pin_every_cell(self, tmp_path):
-        # a rejected distance keeps its distance and loss, with rate 0 and NaN elsewhere
+        # a rejected distance keeps its distance and loss, with rate 0 and NaN elsewhere;
+        # JSON writes each non-finite number as null
         cfg = write(tmp_path / "run.ini",
                     FAST_OPT + "[asymptotic]\ndistances_km = -5,10,1e400\n")
         _, rows, json_rows = curve_rows(tmp_path, "asymptotic", cfg)
@@ -147,10 +153,10 @@ class TestAsymptoticCommand:
         assert rows[1][-1] == "ok"
         assert rows[2] == ["inf", "inf", "0", "nan", "nan", "nan", "nan",
                            "error: length_km must be finite; got inf"]
-        assert json_rows[0] == ('[-5.0, -0.9520000000000001, 0.0, NaN, NaN, NaN, NaN, '
+        assert json_rows[0] == ('[-5.0, -0.9520000000000001, 0.0, null, null, null, null, '
                                 '"error: length_km must be >= 0, got -5.0"]')
         assert json_rows[1].endswith(', "ok"]')
-        assert json_rows[2] == ('[Infinity, Infinity, 0.0, NaN, NaN, NaN, NaN, '
+        assert json_rows[2] == ('[null, null, 0.0, null, null, null, null, '
                                 '"error: length_km must be finite, got inf"]')
 
     def test_infinite_distance_row_names_the_length(self, tmp_path):
@@ -254,7 +260,7 @@ class TestFiniteCommand:
 
     def test_error_row_pins_every_cell(self, tmp_path):
         # a rejected block keeps its size and the channel loss; the rates and
-        # the key length are 0, and p_x, att and every tally are NaN
+        # the key length are 0, and p_x, att and every tally are NaN (null in JSON)
         cfg = write(tmp_path / "run.ini", FAST_OPT + "[finite]\nblock_sizes_received = 1e4,1e20\n")
         _, rows, json_rows = curve_rows(tmp_path, "finite", cfg)
         assert rows[0][-1] == "ok"
@@ -262,8 +268,8 @@ class TestFiniteCommand:
         assert rows[1] == ["1e+20", "19.04", "nan", "nan", "0", "0", "0", *["nan"] * 12,
                            message.replace(",", ";")]
         assert json_rows[0].endswith(', "ok"]')
-        assert json_rows[1] == ("[1e+20, 19.040000000000003, NaN, NaN, 0.0, 0.0, 0, "
-                                + "NaN, " * 12 + f'"{message}"]')
+        assert json_rows[1] == ("[1e+20, 19.040000000000003, null, null, 0.0, 0.0, 0, "
+                                + "null, " * 12 + f'"{message}"]')
 
     def test_att_grid_ends_on_its_range_end(self, tmp_path):
         # at att_min = 0.08 a 4-point grid once rounded its top to 1.0000000000000002
@@ -333,7 +339,8 @@ class TestMaxlossCommand:
 
 
     def test_error_rows_pin_every_cell(self, tmp_path):
-        # a time without key and a time the models reject keep only their time
+        # a time without key and a time the models reject keep only their time; the
+        # other cells are NaN (null in JSON)
         cfg = write(tmp_path / "run.ini",
                     "[optimizer]\ngrid_resolution = 6\nrefinement_rounds = 1\n"
                     "loss_bisection_tol_db = 0.5\n[maxloss]\nacquisition_times_s = 0,1,1e300\n")
@@ -342,9 +349,9 @@ class TestMaxlossCommand:
         assert rows[1][-1] == "ok"
         assert rows[2] == ["1e+300", "nan", "nan", "nan",
                            "error: bound out of regime: log argument 0.0 <= 1"]
-        assert json_rows[0] == '[0.0, NaN, NaN, NaN, "no_key_at_any_loss"]'
+        assert json_rows[0] == '[0.0, null, null, null, "no_key_at_any_loss"]'
         assert json_rows[1].endswith(', "ok"]')
-        assert json_rows[2] == ('[1e+300, NaN, NaN, NaN, '
+        assert json_rows[2] == ('[1e+300, null, null, null, '
                                 '"error: bound out of regime: log argument 0.0 <= 1"]')
 
 

@@ -347,6 +347,43 @@ class TestInverseBinomialCdf:
         assert [quantile(1e-15, n, 0.98) for n in ns] == expected
         assert len(calls) == 1
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(log_ns=st.lists(st.floats(0.0, 13.5), min_size=1, max_size=12),
+           q=st.floats(0.0, 1.0) | st.sampled_from([0.0, 1e-300, 1e-12, 1.0 - 1e-12, 1.0]),
+           log_eps=st.floats(-20.0, -0.5))
+    def test_batch_memo_is_inverse_binomial_cdf(self, log_ns, q, log_eps):
+        # a grid column's first F^-1 settles the block sizes of its later points
+        # with one bdtr pair. Every answer it keeps, and every call, from the memo
+        # or walked, is inverse_binomial_cdf's or raises its error. The block sizes
+        # reach past 2**31, where the CDF is betainc, and past 10**13; q near 0 or
+        # 1 gives NaN bdtrik starts
+        eps = 10.0**log_eps
+        ns = [round(10.0**log_n) for log_n in log_ns]
+        quantile = finitekey._AnchoredQuantile(tuple(ns[1:]))
+        for n in ns:
+            if n > 10**13:
+                with pytest.raises(ValueError, match=r"10\*\*13"):
+                    quantile(eps, n, q)
+            else:
+                assert quantile(eps, n, q) == inverse_binomial_cdf(eps, n, q)
+        for n, m in quantile.memo.items():
+            assert m == inverse_binomial_cdf(eps, n, q)
+
+    def test_batch_is_settled_by_one_bdtr_pair(self, monkeypatch):
+        # each start here is the answer, so the first call's bdtr pair settles
+        # every block size, and no later call evaluates a CDF
+        ns = (10**6, 1_000_100, 1_200_000, 2 * 10**6, 10**9)
+        expected = [inverse_binomial_cdf(1e-15, n, 0.98) for n in ns]
+        calls = []
+        for name in ("bdtrik", "bdtr", "betainc"):
+            kernel = getattr(special, name)
+            monkeypatch.setattr(special, name, lambda *args, kernel=kernel, name=name:
+                                calls.append(name) or kernel(*args))
+        quantile = finitekey._AnchoredQuantile(ns[1:])
+        assert [quantile(1e-15, n, 0.98) for n in ns] == expected
+        assert calls == ["bdtrik", "bdtr", "bdtr"]
+        assert sorted(quantile.memo) == sorted(ns)
+
     @pytest.mark.parametrize("eps,n,q", [(1e-15, 10**13 + 1, 0.98), (1e-15, 0, 0.98),
                                          (0.0, 10, 0.98), (1e-15, 10, 1.5)])
     def test_anchored_quantile_keeps_the_checks(self, eps, n, q):
@@ -515,5 +552,5 @@ class TestFiniteKeyLength:
             assert res.ell == 0
             return
         practical_leak = f_ec(e) * counts.n_rx_x * binary_entropy(e)
-        assert res.ell <= finitekey._ell(res.n_nmp_x, res.phi_x_upper, practical_leak,
-                                         sec._constants)
+        assert res.ell <= finitekey._ell(finitekey._secret(res.n_nmp_x, res.phi_x_upper),
+                                         practical_leak, sec._constants)

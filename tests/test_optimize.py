@@ -12,7 +12,7 @@ from bb84rate import (ChannelModel, DetectorModel, NoPositiveRateError, Optimiza
                       asymptotic_rate, finite_key_length, expected_counts, click_error_probs,
                       max_tolerable_loss, optimize_point)
 from bb84rate.entropy import binary_entropy
-from bb84rate.finitekey import _ell
+from bb84rate.finitekey import _ell, _secret
 from bb84rate.models import _link
 
 
@@ -308,6 +308,10 @@ securities = st.builds(SecurityParams, st.floats(-15.0, -3.0).map(lambda x: 10.0
                        eps_cor=st.floats(-20.0, -3.0).map(lambda x: 10.0**x))
 
 
+def finite_column(src, ch, det, att, sec, n_sent=None, n_received=None):
+    return optimize._column_maker(src, ch, det, "finite", sec, n_sent, n_received)(att)
+
+
 class TestLossProbe:
     @settings(max_examples=100, deadline=None)
     @given(src=sources, det=detectors, sec=securities,
@@ -353,7 +357,7 @@ class TestLossProbe:
                                                  log_n_sent):
         n_sent = 10.0**log_n_sent
         try:
-            column = optimize._FiniteColumn(src, ChannelModel(loss), det, att, sec, n_sent,
+            column = finite_column(src, ChannelModel(loss), det, att, sec, n_sent,
                                             None)
             ell = column.result(p_x)[1].ell
         except (ValueError, ArithmeticError):
@@ -429,7 +433,7 @@ class TestBranchAndBound:
     def test_bracket_cut_is_the_per_point_rule(self, src, det, sec, loss, att, log_n_sent,
                                                p_x_range, grid_resolution, beat):
         try:
-            column = optimize._FiniteColumn(src, ChannelModel(loss), det, att, sec,
+            column = finite_column(src, ChannelModel(loss), det, att, sec,
                                             10.0**log_n_sent, None)
         except (ValueError, ArithmeticError):
             return
@@ -475,7 +479,7 @@ class TestBranchAndBound:
         # evaluate() prunes with >= ell, at every grid point of the interval
         blocks = {"n_sent": None, "n_received": None, block: 10.0**log_n}
         try:
-            column = optimize._FiniteColumn(src, ChannelModel(loss), det, att, sec, **blocks)
+            column = finite_column(src, ChannelModel(loss), det, att, sec, **blocks)
         except (ValueError, ArithmeticError):
             return
         if column.p_c <= 0.0 or not math.isfinite(column.n_sent):
@@ -489,8 +493,8 @@ class TestBranchAndBound:
                 continue
             practical = 0
             if res.phi_x_upper < 0.5:
-                leak = column.fec * res.counts.n_rx_x * binary_entropy(column.e_x)
-                practical = _ell(res.n_nmp_x, res.phi_x_upper, leak, sec._constants)
+                leak = column.leak.fec * res.counts.n_rx_x * binary_entropy(column.e_x)
+                practical = _ell(_secret(res.n_nmp_x, res.phi_x_upper), leak, sec._constants)
             assert res.ell <= practical <= bound
 
     def test_bracket_cut_keeps_the_column_screen(self, source):
@@ -500,7 +504,7 @@ class TestBranchAndBound:
 
         def column(misalignment):
             det = DetectorModel(0.6525, 1.47e-7, 27.5e-9, misalignment)
-            return optimize._FiniteColumn(source, ChannelModel(0.0), det, 1.0, sec, 1e13, None)
+            return finite_column(source, ChannelModel(0.0), det, 1.0, sec, 1e13, None)
 
         lo, hi = 0.0, 0.2  # bracket > 0 at lo, <= 0 at hi
         while lo < 0.5 * (lo + hi) < hi:
@@ -522,15 +526,16 @@ class TestBranchAndBound:
         # key length with the practical leak alone >= ell, with equality where
         # the practical leak wins
         try:
-            column = optimize._FiniteColumn(src, ChannelModel(loss), det, att, sec,
+            column = finite_column(src, ChannelModel(loss), det, att, sec,
                                             10.0**log_n_sent, None)
             res = column.result(p_x)[1]
         except (ValueError, ArithmeticError):
             return
-        practical_leak = column.fec * res.counts.n_rx_x * binary_entropy(column.e_x)
+        practical_leak = column.leak.fec * res.counts.n_rx_x * binary_entropy(column.e_x)
         practical = 0
         if res.phi_x_upper < 0.5:
-            practical = _ell(res.n_nmp_x, res.phi_x_upper, practical_leak, sec._constants)
+            practical = _ell(_secret(res.n_nmp_x, res.phi_x_upper), practical_leak,
+                             sec._constants)
         assert res.ell <= practical <= column.ell_bound(p_x)
         if res.lambda_ec == practical_leak:
             assert practical == res.ell
@@ -549,7 +554,7 @@ class TestFiniteKernel:
         # only a point that cannot beat to_beat
         blocks = {"n_sent": None, "n_received": None, block: 10.0**log_n}
         try:
-            column = optimize._FiniteColumn(src, ChannelModel(loss), det, att, sec, **blocks)
+            column = finite_column(src, ChannelModel(loss), det, att, sec, **blocks)
         except (ValueError, ArithmeticError):
             return
         if column.p_c <= 0.0:
@@ -572,7 +577,7 @@ class TestFiniteKernel:
     def test_column_keeps_the_block_limit_of_the_inverse_cdf(self, source, detector):
         # the column's F^-1 raises inverse_binomial_cdf's error above 10**13
         # trials, as finite_key_length does, instead of walking from its anchor
-        column = optimize._FiniteColumn(source, ChannelModel(0.0), detector, 1.0,
+        column = finite_column(source, ChannelModel(0.0), detector, 1.0,
                                         SecurityParams(), 1e17, None)
         with pytest.raises(ValueError, match=r"10\*\*13") as raised:
             column.result(0.9)
